@@ -4,6 +4,7 @@
 #include <array>
 #include <atomic>
 #include <cstddef>
+#include <functional>
 #include <mutex>
 #include <queue>
 #include <utility>
@@ -171,6 +172,219 @@ class TaskTimer {
   Stopwatch watch_;
 };
 
+/// Phase 1 of both dedup modes: a parallel filter scan, one task per page
+/// range of each input. Each task owns private per-partition buffers; the
+/// barrier makes them visible to the phase-2 tasks without locks.
+/// `scan(heap, first, end, bufs, replicated, task)` fills one task's
+/// buffers (task t < threads scans R range t, task threads + t S range t).
+template <typename Buffers, typename ScanFn>
+Status ScanInputs(DiskManager* disk, ThreadPool& tp, Canceller& cancel,
+                  const JoinInput& r, const JoinInput& s, uint32_t threads,
+                  uint32_t num_partitions, const ScanFn& scan,
+                  std::vector<Buffers>* r_bufs, std::vector<Buffers>* s_bufs,
+                  ParallelJoinStats& st, JoinCostBreakdown* breakdown) {
+  static Counter* const cancelled_tasks =
+      MetricsRegistry::Global().GetCounter("join.parallel.cancelled_tasks");
+  const auto r_ranges = SplitRange(r.heap->num_pages(), threads);
+  const auto s_ranges = SplitRange(s.heap->num_pages(), threads);
+  r_bufs->resize(threads);
+  s_bufs->resize(threads);
+  std::vector<uint64_t> task_replicated(2 * threads, 0);
+  std::vector<Status> task_status(2 * threads);
+  st.partition_task_seconds.assign(2 * threads, 0.0);
+  {
+    PhaseCost& cost = breakdown->AddPhase("partition inputs");
+    PhaseTimer timer(disk, &cost, "partition inputs");
+    Stopwatch wall;
+    for (uint32_t t = 0; t < threads; ++t) {
+      for (const uint32_t task : {t, threads + t}) {
+        tp.Submit([&, t, task] {
+          TaskTimer tt(&st.partition_task_seconds[task],
+                       &st.worker_busy_seconds);
+          if (cancel.is_cancelled()) {
+            cancelled_tasks->Add();
+            task_status[task] = Status::Cancelled("sibling scan task failed");
+            return;
+          }
+          const bool is_r = task < threads;
+          const auto& range = (is_r ? r_ranges : s_ranges)[t];
+          Buffers& bufs = (is_r ? *r_bufs : *s_bufs)[t];
+          bufs.resize(num_partitions);
+          task_status[task] =
+              scan(*(is_r ? r : s).heap, range.first, range.second, &bufs,
+                   &task_replicated[task], task);
+          cancel.Report(task_status[task]);
+        });
+      }
+    }
+    tp.Wait();
+    st.partition_wall_seconds = wall.ElapsedSeconds();
+  }
+  // The first real error wins; sibling kCancelled statuses are noise, and
+  // an external cancellation surfaces with the canceller's own reason.
+  PBSM_RETURN_IF_ERROR(PhaseStatus(cancel, task_status));
+  for (const uint64_t rep : task_replicated) breakdown->replicated += rep;
+  return Status::OK();
+}
+
+/// Moves entry `i` of every task's bucket list (`lists[t][i]`) onto the end
+/// of `out`, releasing the sources.
+template <typename T>
+void GatherBucket(std::vector<std::vector<std::vector<T>>>& lists, size_t i,
+                  std::vector<T>* out) {
+  size_t total = out->size();
+  for (const auto& list : lists) total += list[i].size();
+  out->reserve(total);
+  for (auto& list : lists) {
+    out->insert(out->end(), list[i].begin(), list[i].end());
+    list[i] = {};
+  }
+}
+
+/// Tasks per thread: the floor on the partition count (phase 2) and the
+/// number of R-page-range refinement buckets (phase 3) — enough tasks for
+/// work stealing to even out skew.
+constexpr uint32_t kTasksPerThread = 4;
+
+/// Maps OID_R to its refinement bucket, page(OID_R) * B / r_pages: B equal
+/// ranges of R pages. Every R page belongs to exactly one bucket, so each
+/// refinement task reads a disjoint R page range, and the bucket is
+/// monotone in OID_R, so a sorted candidate run is split by binary search.
+class RPageBuckets {
+ public:
+  RPageBuckets(uint32_t r_pages, uint32_t num_buckets)
+      : r_pages_(std::max<uint32_t>(r_pages, 1)), size_(num_buckets) {}
+
+  uint32_t size() const { return size_; }
+  uint32_t Of(uint64_t oid_r) const {
+    const uint64_t page = Oid::Decode(oid_r).page_no;
+    return static_cast<uint32_t>(
+        std::min<uint64_t>(page * size_ / r_pages_, size_ - 1));
+  }
+
+ private:
+  uint64_t r_pages_;
+  uint32_t size_;
+};
+
+/// Batch sink appending each candidate to its R-page bucket of one
+/// worker's arena.
+struct BucketBatchSink {
+  const RPageBuckets* buckets;
+  std::vector<std::vector<OidPair>>* arena;
+  void operator()(const OidPair* pairs, size_t n) const {
+    for (size_t i = 0; i < n; ++i) {
+      (*arena)[buckets->Of(pairs[i].r)].push_back(pairs[i]);
+    }
+  }
+};
+
+/// Buffers one refinement task's results and hands them to the caller's
+/// sink under the shared mutex, up to kBatch pairs per lock; the sink is
+/// called with the lock held because it must never be entered
+/// concurrently. The destructor flushes the rest, so every exit path (error
+/// and cancellation included) delivers every pair the task refined.
+class BatchedSink {
+ public:
+  static constexpr size_t kBatch = 1024;
+
+  BatchedSink(const ResultSink& sink, std::mutex* mutex)
+      : sink_(sink), mutex_(mutex) {}
+  ~BatchedSink() { Flush(); }
+  BatchedSink(const BatchedSink&) = delete;
+  BatchedSink& operator=(const BatchedSink&) = delete;
+
+  /// The per-pair sink for RefinePairStream; empty without a caller sink.
+  ResultSink AsSink() {
+    if (!sink_) return nullptr;
+    return [this](Oid r, Oid s) {
+      buf_.emplace_back(r, s);
+      if (buf_.size() >= kBatch) Flush();
+    };
+  }
+
+ private:
+  void Flush() {
+    if (buf_.empty()) return;
+    std::lock_guard<std::mutex> lock(*mutex_);
+    for (const auto& [r, s] : buf_) sink_(r, s);
+    buf_.clear();
+  }
+
+  const ResultSink& sink_;
+  std::mutex* mutex_;
+  std::vector<std::pair<Oid, Oid>> buf_;
+};
+
+/// One refinement task's candidates: sorted on (OID_R, OID_S) and
+/// duplicate-free.
+struct CandidateSlice {
+  const OidPair* begin;
+  const OidPair* end;
+};
+
+/// Yields bucket `b`'s candidates, either as a view into caller-owned
+/// memory or gathered into `scratch`.
+using SliceFn =
+    std::function<CandidateSlice(uint32_t b, std::vector<OidPair>* scratch)>;
+
+/// Phase 3 of both dedup modes: one pool task per R-page bucket, each
+/// preparing its own slice and refining it as an independent §3.2 stream —
+/// no global sort, no serial section, and the sink lock is taken once per
+/// result batch.
+Status RefineBuckets(DiskManager* disk, ThreadPool& tp, Canceller& cancel,
+                     uint32_t num_buckets, const SliceFn& slice,
+                     const JoinInput& r, const JoinInput& s,
+                     SpatialPredicate pred, const JoinOptions& opts,
+                     const ResultSink& sink, ParallelJoinStats& st,
+                     JoinCostBreakdown* breakdown) {
+  static Counter* const cancelled_tasks =
+      MetricsRegistry::Global().GetCounter("join.parallel.cancelled_tasks");
+  PhaseCost& cost = breakdown->AddPhase("refinement");
+  PhaseTimer timer(disk, &cost, "refinement");
+  Stopwatch wall;
+  std::mutex sink_mutex;
+  std::vector<JoinCostBreakdown> task_breakdowns(num_buckets);
+  std::vector<Status> task_status(num_buckets);
+  st.refine_task_seconds.assign(num_buckets, 0.0);
+  for (uint32_t b = 0; b < num_buckets; ++b) {
+    tp.Submit([&, b] {
+      TaskTimer tt(&st.refine_task_seconds[b], &st.worker_busy_seconds);
+      if (cancel.is_cancelled()) {
+        cancelled_tasks->Add();
+        task_status[b] = Status::Cancelled("sibling refine task failed");
+        return;
+      }
+      std::vector<OidPair> scratch;
+      const CandidateSlice c = slice(b, &scratch);
+      if (c.begin == c.end) return;
+      const OidPair* cursor = c.begin;
+      // Polling the flag per pair bounds how much doomed refinement I/O a
+      // task still performs after a sibling's failure.
+      const SortedPairStream next = [&cursor, &c,
+                                     &cancel](OidPair* out) -> Result<bool> {
+        if (cancel.is_cancelled()) {
+          return Status::Cancelled("sibling refine task failed");
+        }
+        if (cursor == c.end) return false;
+        *out = *cursor++;
+        return true;
+      };
+      BatchedSink batch(sink, &sink_mutex);
+      task_status[b] = RefinePairStream(next, r, s, pred, opts,
+                                        batch.AsSink(), &task_breakdowns[b]);
+      cancel.Report(task_status[b]);
+    });
+  }
+  tp.Wait();
+  st.refine_wall_seconds = wall.ElapsedSeconds();
+  PBSM_RETURN_IF_ERROR(PhaseStatus(cancel, task_status));
+  for (const JoinCostBreakdown& tb : task_breakdowns) {
+    breakdown->results += tb.results;
+  }
+  return Status::OK();
+}
+
 // ---------------------------------------------------------------------------
 // Two-layer (duplicate-free) executor. See core/two_layer_filter.h for the
 // scheme; here it replaces phases 2+3a of the merge path with one "filter
@@ -215,80 +429,38 @@ Status ScanRangeIntoClassedBuffers(const HeapFile& heap, uint32_t first,
 
 /// The two-layer executor body: phase 1 routes classed copies, phase 2 runs
 /// the per-partition mini-joins (no dedup merge exists — every candidate
-/// pair is emitted exactly once globally), phase 3 concatenates the worker
-/// arenas, sorts once for refinement I/O order, and refines OID_R-aligned
-/// shards exactly like the merge path — minus its k-way dedup merge.
+/// pair is emitted exactly once globally) into per-worker R-page buckets,
+/// phase 3 gathers, sorts and refines each bucket as its own task.
 /// Unlike the merge path there is no §3.5 repartition:
 /// partitions are processed whole (the mini-join is an out-of-place sweep
 /// whose footprint is the partition itself, already sized by Equation 1).
 Result<JoinCostBreakdown> ParallelTwoLayerJoin(
-    BufferPool* pool, const JoinInput& r, const JoinInput& s,
-    SpatialPredicate pred, const JoinOptions& opts, const ResultSink& sink,
-    ParallelJoinStats& st, const SpatialPartitioner& partitioner,
-    uint32_t threads, JoinCostBreakdown breakdown) {
-  DiskManager* disk = pool->disk();
+    DiskManager* disk, ThreadPool& tp, Canceller& cancel, const JoinInput& r,
+    const JoinInput& s, SpatialPredicate pred, const JoinOptions& opts,
+    const ResultSink& sink, ParallelJoinStats& st,
+    const SpatialPartitioner& partitioner, uint32_t threads,
+    JoinCostBreakdown breakdown) {
   const uint32_t num_partitions = partitioner.num_partitions();
-
-  Stopwatch total_watch;
-  ThreadPool tp(threads);
-  Canceller cancel(opts.cancel);
   static Counter* const cancelled_tasks =
       MetricsRegistry::Global().GetCounter("join.parallel.cancelled_tasks");
 
   // ---- Phase 1: parallel classed filter scan. As in the merge path, but
   // each copy additionally carries (tile, class). ----
-  const auto r_ranges = SplitRange(r.heap->num_pages(), threads);
-  const auto s_ranges = SplitRange(s.heap->num_pages(), threads);
-  std::vector<ClassedBuffers> r_bufs(threads), s_bufs(threads);
-  std::vector<uint64_t> task_replicated(2 * threads, 0);
+  std::vector<ClassedBuffers> r_bufs, s_bufs;
   std::vector<std::array<uint64_t, 4>> task_classes(
       2 * threads, std::array<uint64_t, 4>{0, 0, 0, 0});
-  std::vector<Status> task_status(2 * threads);
-  st.partition_task_seconds.assign(2 * threads, 0.0);
   {
-    PhaseCost& cost = breakdown.AddPhase("partition inputs");
-    PhaseTimer timer(disk, &cost, "partition inputs");
-    Stopwatch wall;
-    for (uint32_t t = 0; t < threads; ++t) {
-      tp.Submit([&, t] {
-        TaskTimer tt(&st.partition_task_seconds[t],
-                     &st.worker_busy_seconds);
-        if (cancel.is_cancelled()) {
-          cancelled_tasks->Add();
-          task_status[t] = Status::Cancelled("sibling scan task failed");
-          return;
-        }
-        r_bufs[t].resize(num_partitions);
-        task_status[t] = ScanRangeIntoClassedBuffers(
-            *r.heap, r_ranges[t].first, r_ranges[t].second, partitioner,
-            cancel, &r_bufs[t], &task_replicated[t], task_classes[t].data());
-        cancel.Report(task_status[t]);
-      });
-      tp.Submit([&, t] {
-        TaskTimer tt(&st.partition_task_seconds[threads + t],
-                     &st.worker_busy_seconds);
-        if (cancel.is_cancelled()) {
-          cancelled_tasks->Add();
-          task_status[threads + t] =
-              Status::Cancelled("sibling scan task failed");
-          return;
-        }
-        s_bufs[t].resize(num_partitions);
-        task_status[threads + t] = ScanRangeIntoClassedBuffers(
-            *s.heap, s_ranges[t].first, s_ranges[t].second, partitioner,
-            cancel, &s_bufs[t], &task_replicated[threads + t],
-            task_classes[threads + t].data());
-        cancel.Report(task_status[threads + t]);
-      });
-    }
-    tp.Wait();
-    st.partition_wall_seconds = wall.ElapsedSeconds();
-  }
-  {
-    const Status ps = PhaseStatus(cancel, task_status);
+    const Status ps = ScanInputs(
+        disk, tp, cancel, r, s, threads, num_partitions,
+        [&](const HeapFile& heap, uint32_t first, uint32_t end,
+            ClassedBuffers* bufs, uint64_t* replicated, uint32_t task) {
+          return ScanRangeIntoClassedBuffers(heap, first, end, partitioner,
+                                             cancel, bufs, replicated,
+                                             task_classes[task].data());
+        },
+        &r_bufs, &s_bufs, st, &breakdown);
     if (!ps.ok()) return EarlyExit(ps);
   }
-  for (const uint64_t rep : task_replicated) breakdown.replicated += rep;
   {
     uint64_t classes[4] = {0, 0, 0, 0};
     for (const auto& tc : task_classes) {
@@ -299,9 +471,12 @@ Result<JoinCostBreakdown> ParallelTwoLayerJoin(
 
   // ---- Phase 2: concurrent duplicate-free mini-joins, one task per
   // partition. Each task gathers its partition's classed copies into
-  // thread-local scratch and appends its candidate run to the executing
-  // worker's arena — no cross-worker writes, no dedup merge. ----
-  std::vector<std::vector<OidPair>> arenas(threads);
+  // thread-local scratch and appends each candidate to its R-page bucket in
+  // the executing worker's arena — no cross-worker writes, no dedup
+  // merge. ----
+  const RPageBuckets buckets(r.heap->num_pages(), kTasksPerThread * threads);
+  std::vector<std::vector<std::vector<OidPair>>> arenas(
+      threads, std::vector<std::vector<OidPair>>(buckets.size()));
   std::vector<uint64_t> task_candidates(num_partitions, 0);
   st.sweep_task_seconds.assign(num_partitions, 0.0);
   const KernelKind kind = ResolveKernel(opts.simd);
@@ -316,34 +491,21 @@ Result<JoinCostBreakdown> ParallelTwoLayerJoin(
           cancelled_tasks->Add();
           return;
         }
-        size_t r_total = 0, s_total = 0;
-        for (uint32_t t = 0; t < threads; ++t) {
-          r_total += r_bufs[t][p].size();
-          s_total += s_bufs[t][p].size();
-        }
-        if (r_total == 0 || s_total == 0) return;
         // Thread-local gather buffers: partitions handled by the same
         // worker reuse their capacity, so steady state performs no
         // per-partition allocations (asserted by the zero-alloc test).
         thread_local std::vector<ClassedKeyPointer> r_kps, s_kps;
         r_kps.clear();
         s_kps.clear();
-        r_kps.reserve(r_total);
-        s_kps.reserve(s_total);
-        for (uint32_t t = 0; t < threads; ++t) {
-          auto& rb = r_bufs[t][p];
-          r_kps.insert(r_kps.end(), rb.begin(), rb.end());
-          rb = {};
-          auto& sb = s_bufs[t][p];
-          s_kps.insert(s_kps.end(), sb.begin(), sb.end());
-          sb = {};
-        }
+        GatherBucket(r_bufs, p, &r_kps);
+        GatherBucket(s_bufs, p, &s_kps);
+        if (r_kps.empty() || s_kps.empty()) return;
         const int w = ThreadPool::CurrentWorker();
         PBSM_CHECK(w >= 0 && static_cast<size_t>(w) < arenas.size())
             << "filter task executed outside the pool";
         task_candidates[p] = TwoLayerPartitionJoinBatch(
             &r_kps, &s_kps, kind,
-            VectorBatchSink{&arenas[static_cast<size_t>(w)]});
+            BucketBatchSink{&buckets, &arenas[static_cast<size_t>(w)]});
       });
     }
     tp.Wait();
@@ -355,81 +517,17 @@ Result<JoinCostBreakdown> ParallelTwoLayerJoin(
   }
   // st.merge_wall_seconds stays 0: there is no merge phase to pay for.
 
-  // ---- Phase 3: one global refinement order, then parallel refinement
-  // over OID_R-aligned shards, as in the merge path's phase 3b. The runs
-  // are duplicate-free across partitions, so preparing the stream is a
-  // plain concatenate + sort for refinement I/O locality (each R page is
-  // fetched by exactly one shard) — no k-way merge, no dedup compare. ----
-  {
-    PhaseCost& cost = breakdown.AddPhase("refinement");
-    PhaseTimer timer(disk, &cost, "refinement");
-    Stopwatch wall;
-
-    std::vector<OidPair> candidates;
-    candidates.reserve(static_cast<size_t>(breakdown.candidates));
-    for (std::vector<OidPair>& arena : arenas) {
-      candidates.insert(candidates.end(), arena.begin(), arena.end());
-      arena = {};
-    }
-    std::sort(candidates.begin(), candidates.end(), OidPairLess{});
-
-    std::vector<std::pair<size_t, size_t>> shards;
-    const size_t n = candidates.size();
-    const size_t target = (n + threads - 1) / std::max<uint32_t>(threads, 1);
-    size_t begin = 0;
-    while (begin < n) {
-      size_t end = std::min(n, begin + std::max<size_t>(target, 1));
-      while (end < n && candidates[end].r == candidates[end - 1].r) ++end;
-      shards.emplace_back(begin, end);
-      begin = end;
-    }
-
-    std::mutex sink_mutex;
-    std::vector<JoinCostBreakdown> shard_breakdowns(shards.size());
-    std::vector<Status> shard_status(shards.size());
-    st.refine_task_seconds.assign(shards.size(), 0.0);
-    for (size_t i = 0; i < shards.size(); ++i) {
-      tp.Submit([&, i] {
-        TaskTimer tt(&st.refine_task_seconds[i], &st.worker_busy_seconds);
-        if (cancel.is_cancelled()) {
-          cancelled_tasks->Add();
-          shard_status[i] = Status::Cancelled("sibling refine shard failed");
-          return;
-        }
-        size_t cursor = shards[i].first;
-        const size_t end = shards[i].second;
-        const SortedPairStream next = [&candidates, &cursor, end,
-                                       &cancel](OidPair* out) -> Result<bool> {
-          if (cancel.is_cancelled()) {
-            return Status::Cancelled("sibling refine shard failed");
-          }
-          if (cursor >= end) return false;
-          *out = candidates[cursor++];
-          return true;
-        };
-        ResultSink shard_sink;
-        if (sink) {
-          shard_sink = [&sink, &sink_mutex](Oid ro, Oid so) {
-            std::lock_guard<std::mutex> lock(sink_mutex);
-            sink(ro, so);
-          };
-        }
-        shard_status[i] =
-            RefinePairStream(next, r, s, pred, opts, shard_sink,
-                             &shard_breakdowns[i]);
-        cancel.Report(shard_status[i]);
-      });
-    }
-    tp.Wait();
-    st.refine_wall_seconds = wall.ElapsedSeconds();
-    const Status ps = PhaseStatus(cancel, shard_status);
-    if (!ps.ok()) return EarlyExit(ps);
-    for (const JoinCostBreakdown& sb : shard_breakdowns) {
-      breakdown.results += sb.results;
-    }
-  }
-
-  st.total_wall_seconds = total_watch.ElapsedSeconds();
+  // ---- Phase 3: each task gathers its bucket from every worker arena and
+  // sorts it for refinement I/O order. The runs are duplicate-free across
+  // partitions, so no k-way merge or dedup compare is needed. ----
+  const SliceFn gather = [&arenas](uint32_t b, std::vector<OidPair>* out) {
+    GatherBucket(arenas, b, out);
+    std::sort(out->begin(), out->end(), OidPairLess{});
+    return CandidateSlice{out->data(), out->data() + out->size()};
+  };
+  const Status rs = RefineBuckets(disk, tp, cancel, buckets.size(), gather, r,
+                                  s, pred, opts, sink, st, &breakdown);
+  if (!rs.ok()) return EarlyExit(rs);
   return breakdown;
 }
 
@@ -482,15 +580,15 @@ Result<JoinCostBreakdown> ParallelPbsmJoin(BufferPool* pool,
 
   // Equation 1 sizes partitions for the memory budget; the executor
   // additionally wants enough partitions to keep every worker busy in the
-  // sweep phase, so it raises the count to 4 tasks per thread (an explicit
-  // override is respected verbatim).
+  // sweep phase, so it raises the count to kTasksPerThread tasks per thread
+  // (an explicit override is respected verbatim).
   uint32_t num_partitions =
       opts.num_partitions_override != 0
           ? opts.num_partitions_override
           : std::max(SpatialPartitioner::EstimatePartitionCount(
                          r.info.cardinality, s.info.cardinality,
                          opts.memory_budget_bytes),
-                     threads * 4);
+                     threads * kTasksPerThread);
   const uint32_t num_tiles = std::max(opts.num_tiles, num_partitions);
   const SpatialPartitioner partitioner(universe, num_tiles, num_partitions,
                                        opts.mapping);
@@ -503,11 +601,6 @@ Result<JoinCostBreakdown> ParallelPbsmJoin(BufferPool* pool,
   st.num_threads = threads;
   st.worker_busy_seconds.assign(threads, 0.0);
 
-  if (opts.dedup_mode == DedupMode::kTwoLayer) {
-    return ParallelTwoLayerJoin(pool, r, s, pred, opts, sink, st, partitioner,
-                                threads, std::move(breakdown));
-  }
-
   Stopwatch total_watch;
   ThreadPool tp(threads);
   // Error propagation between sibling tasks, chained below the caller's
@@ -515,63 +608,30 @@ Result<JoinCostBreakdown> ParallelPbsmJoin(BufferPool* pool,
   // tripped parent stops every task at its next poll, exactly like a
   // sibling failure, but the parent's reason wins in the returned status.
   Canceller cancel(opts.cancel);
+  if (opts.dedup_mode == DedupMode::kTwoLayer) {
+    Result<JoinCostBreakdown> result =
+        ParallelTwoLayerJoin(disk, tp, cancel, r, s, pred, opts, sink, st,
+                             partitioner, threads, std::move(breakdown));
+    st.total_wall_seconds = total_watch.ElapsedSeconds();
+    return result;
+  }
+
   static Counter* const cancelled_tasks =
       MetricsRegistry::Global().GetCounter("join.parallel.cancelled_tasks");
 
-  // ---- Phase 1: parallel filter scan. Each task owns a page range of one
-  // input and private per-partition buffers; the barrier makes them visible
-  // to the sweep tasks without locks. ----
-  const auto r_ranges = SplitRange(r.heap->num_pages(), threads);
-  const auto s_ranges = SplitRange(s.heap->num_pages(), threads);
-  std::vector<PartitionBuffers> r_bufs(threads), s_bufs(threads);
-  std::vector<uint64_t> task_replicated(2 * threads, 0);
-  std::vector<Status> task_status(2 * threads);
-  st.partition_task_seconds.assign(2 * threads, 0.0);
+  // ---- Phase 1: parallel filter scan. ----
+  std::vector<PartitionBuffers> r_bufs, s_bufs;
   {
-    PhaseCost& cost = breakdown.AddPhase("partition inputs");
-    PhaseTimer timer(disk, &cost, "partition inputs");
-    Stopwatch wall;
-    for (uint32_t t = 0; t < threads; ++t) {
-      tp.Submit([&, t] {
-        TaskTimer tt(&st.partition_task_seconds[t],
-                     &st.worker_busy_seconds);
-        if (cancel.is_cancelled()) {
-          cancelled_tasks->Add();
-          task_status[t] = Status::Cancelled("sibling scan task failed");
-          return;
-        }
-        r_bufs[t].resize(num_partitions);
-        task_status[t] = ScanRangeIntoBuffers(
-            *r.heap, r_ranges[t].first, r_ranges[t].second, partitioner,
-            cancel, &r_bufs[t], &task_replicated[t]);
-        cancel.Report(task_status[t]);
-      });
-      tp.Submit([&, t] {
-        TaskTimer tt(&st.partition_task_seconds[threads + t],
-                     &st.worker_busy_seconds);
-        if (cancel.is_cancelled()) {
-          cancelled_tasks->Add();
-          task_status[threads + t] =
-              Status::Cancelled("sibling scan task failed");
-          return;
-        }
-        s_bufs[t].resize(num_partitions);
-        task_status[threads + t] = ScanRangeIntoBuffers(
-            *s.heap, s_ranges[t].first, s_ranges[t].second, partitioner,
-            cancel, &s_bufs[t], &task_replicated[threads + t]);
-        cancel.Report(task_status[threads + t]);
-      });
-    }
-    tp.Wait();
-    st.partition_wall_seconds = wall.ElapsedSeconds();
-  }
-  // The first real error wins; sibling kCancelled statuses are noise, and
-  // an external cancellation surfaces with the canceller's own reason.
-  {
-    const Status ps = PhaseStatus(cancel, task_status);
+    const Status ps = ScanInputs(
+        disk, tp, cancel, r, s, threads, num_partitions,
+        [&](const HeapFile& heap, uint32_t first, uint32_t end,
+            PartitionBuffers* bufs, uint64_t* replicated, uint32_t) {
+          return ScanRangeIntoBuffers(heap, first, end, partitioner, cancel,
+                                      bufs, replicated);
+        },
+        &r_bufs, &s_bufs, st, &breakdown);
     if (!ps.ok()) return EarlyExit(ps);
   }
-  for (const uint64_t rep : task_replicated) breakdown.replicated += rep;
 
   // ---- Phase 2: concurrent plane-sweep, one task per partition pair.
   // Each task gathers the scan tasks' buckets for its partition, sweeps
@@ -594,23 +654,9 @@ Result<JoinCostBreakdown> ParallelPbsmJoin(BufferPool* pool,
           cancelled_tasks->Add();
           return;
         }
-        size_t r_total = 0, s_total = 0;
-        for (uint32_t t = 0; t < threads; ++t) {
-          r_total += r_bufs[t][p].size();
-          s_total += s_bufs[t][p].size();
-        }
-        if (r_total == 0 || s_total == 0) return;
         std::vector<KeyPointer> r_kps, s_kps;
-        r_kps.reserve(r_total);
-        s_kps.reserve(s_total);
-        for (uint32_t t = 0; t < threads; ++t) {
-          auto& rb = r_bufs[t][p];
-          r_kps.insert(r_kps.end(), rb.begin(), rb.end());
-          rb = {};
-          auto& sb = s_bufs[t][p];
-          s_kps.insert(s_kps.end(), sb.begin(), sb.end());
-          sb = {};
-        }
+        GatherBucket(r_bufs, p, &r_kps);
+        GatherBucket(s_bufs, p, &s_kps);
         SweepPartitionPair(&r_kps, &s_kps, universe, opts, /*depth=*/0,
                            InputOrder::kUnsorted, &partition_candidates[p],
                            &task_candidates[p], &task_repartitioned[p]);
@@ -671,73 +717,21 @@ Result<JoinCostBreakdown> ParallelPbsmJoin(BufferPool* pool,
     st.merge_wall_seconds = wall.ElapsedSeconds();
   }
 
-  // ---- Phase 3b: parallel refinement over OID_R-aligned shards. Keeping
-  // every pair of one R tuple in a single shard means shards fetch disjoint
-  // R pages (near-sequential reads, as in the serial §3.2 step). ----
-  {
-    PhaseCost& cost = breakdown.AddPhase("refinement");
-    PhaseTimer timer(disk, &cost, "refinement");
-    Stopwatch wall;
-
-    std::vector<std::pair<size_t, size_t>> shards;
-    const size_t n = deduped.size();
-    const size_t target = (n + threads - 1) / std::max<uint32_t>(threads, 1);
-    size_t begin = 0;
-    while (begin < n) {
-      size_t end = std::min(n, begin + std::max<size_t>(target, 1));
-      // Advance to the next OID_R boundary.
-      while (end < n && deduped[end].r == deduped[end - 1].r) ++end;
-      shards.emplace_back(begin, end);
-      begin = end;
-    }
-
-    std::mutex sink_mutex;
-    std::vector<JoinCostBreakdown> shard_breakdowns(shards.size());
-    std::vector<Status> shard_status(shards.size());
-    st.refine_task_seconds.assign(shards.size(), 0.0);
-    for (size_t i = 0; i < shards.size(); ++i) {
-      tp.Submit([&, i] {
-        TaskTimer tt(&st.refine_task_seconds[i], &st.worker_busy_seconds);
-        if (cancel.is_cancelled()) {
-          cancelled_tasks->Add();
-          shard_status[i] = Status::Cancelled("sibling refine shard failed");
-          return;
-        }
-        size_t cursor = shards[i].first;
-        const size_t end = shards[i].second;
-        // The stream is the shard's inner loop; polling the cancellation
-        // flag here bounds how much doomed refinement I/O a sibling still
-        // performs after the first failure.
-        const SortedPairStream next = [&deduped, &cursor, end,
-                                       &cancel](OidPair* out) -> Result<bool> {
-          if (cancel.is_cancelled()) {
-            return Status::Cancelled("sibling refine shard failed");
-          }
-          if (cursor >= end) return false;
-          *out = deduped[cursor++];
-          return true;
-        };
-        ResultSink shard_sink;
-        if (sink) {
-          shard_sink = [&sink, &sink_mutex](Oid ro, Oid so) {
-            std::lock_guard<std::mutex> lock(sink_mutex);
-            sink(ro, so);
-          };
-        }
-        shard_status[i] =
-            RefinePairStream(next, r, s, pred, opts, shard_sink,
-                             &shard_breakdowns[i]);
-        cancel.Report(shard_status[i]);
-      });
-    }
-    tp.Wait();
-    st.refine_wall_seconds = wall.ElapsedSeconds();
-    const Status ps = PhaseStatus(cancel, shard_status);
-    if (!ps.ok()) return EarlyExit(ps);
-    for (const JoinCostBreakdown& sb : shard_breakdowns) {
-      breakdown.results += sb.results;
-    }
-  }
+  // ---- Phase 3b: parallel refinement of OID_R-page-aligned slices of the
+  // deduped run, one task per R-page bucket. ----
+  const RPageBuckets buckets(r.heap->num_pages(), kTasksPerThread * threads);
+  const SliceFn slice = [&deduped, &buckets](uint32_t b,
+                                             std::vector<OidPair>*) {
+    const auto first_of = [&](uint32_t bucket) {
+      return std::partition_point(
+          deduped.data(), deduped.data() + deduped.size(),
+          [&](const OidPair& p) { return buckets.Of(p.r) < bucket; });
+    };
+    return CandidateSlice{first_of(b), first_of(b + 1)};
+  };
+  const Status rs = RefineBuckets(disk, tp, cancel, buckets.size(), slice, r,
+                                  s, pred, opts, sink, st, &breakdown);
+  if (!rs.ok()) return EarlyExit(rs);
 
   st.total_wall_seconds = total_watch.ElapsedSeconds();
   return breakdown;

@@ -78,7 +78,9 @@ struct RefineStats {
 };
 
 /// Reads sorted candidate pairs into memory-budget-sized blocks of R tuples
-/// plus their pairs, honouring the block-boundary push-back.
+/// plus their pairs, honouring the block-boundary push-back. R tuples are
+/// parsed straight from the pinned page; the current R page stays pinned
+/// until an OID on another page arrives.
 class BlockReader {
  public:
   BlockReader(const SortedPairStream& next, const HeapFile& r_heap,
@@ -105,14 +107,16 @@ class BlockReader {
           pending_ = true;
           break;
         }
-        PBSM_RETURN_IF_ERROR(r_heap_.Fetch(Oid::Decode(pair.r), &record_));
-        PBSM_ASSIGN_OR_RETURN(Tuple tuple,
-                              Tuple::Parse(record_.data(), record_.size()));
+        const char* data = nullptr;
+        size_t size = 0;
+        PBSM_RETURN_IF_ERROR(
+            r_heap_.FetchView(Oid::Decode(pair.r), &page_, &data, &size));
+        PBSM_ASSIGN_OR_RETURN(Tuple tuple, Tuple::Parse(data, size));
         BlockTuple bt;
         bt.oid = pair.r;
         bt.geometry = std::move(tuple.geometry);
         if (!tuple.mer.empty()) bt.mer = tuple.mer;  // Stored MER (BKSS94).
-        bt.bytes = record_.size();
+        bt.bytes = size;
         block_bytes += bt.bytes;
         r_tuples->push_back(std::move(bt));
       }
@@ -139,20 +143,23 @@ class BlockReader {
   const JoinOptions& opts_;
   OidPair pushed_back_{};
   bool pending_ = false;  // `pushed_back_` holds an unconsumed pair.
-  std::string record_;
+  PageHandle page_;       // Page-run cursor over the R heap.
 };
 
 /// Fetches S tuples through a one-entry cache: pairs arrive sorted on
-/// OID_S, so runs of the same S tuple parse once.
+/// OID_S, so runs of the same S tuple parse once, and runs of the same S
+/// page pin it once (parsing straight from the pinned bytes).
 class CachedSFetcher {
  public:
   explicit CachedSFetcher(const HeapFile& s_heap) : s_heap_(s_heap) {}
 
   Status Load(uint64_t s_oid) {
     if (s_oid == oid_) return Status::OK();
-    PBSM_RETURN_IF_ERROR(s_heap_.Fetch(Oid::Decode(s_oid), &record_));
-    PBSM_ASSIGN_OR_RETURN(Tuple tuple,
-                          Tuple::Parse(record_.data(), record_.size()));
+    const char* data = nullptr;
+    size_t size = 0;
+    PBSM_RETURN_IF_ERROR(
+        s_heap_.FetchView(Oid::Decode(s_oid), &page_, &data, &size));
+    PBSM_ASSIGN_OR_RETURN(Tuple tuple, Tuple::Parse(data, size));
     geometry_ = std::move(tuple.geometry);
     oid_ = s_oid;
     return Status::OK();
@@ -164,7 +171,7 @@ class CachedSFetcher {
   const HeapFile& s_heap_;
   uint64_t oid_ = ~0ull;
   Geometry geometry_;
-  std::string record_;
+  PageHandle page_;  // Page-run cursor over the S heap.
 };
 
 /// The exact per-pair test, including the BKSS94 MER short-circuit for
@@ -191,6 +198,7 @@ Status ExactRefineLoop(const SortedPairStream& next, const HeapFile& r_heap,
                        const JoinOptions& opts, const ResultSink& sink,
                        JoinCostBreakdown* breakdown, RefineStats* stats) {
   BlockReader reader(next, r_heap, opts);
+  CachedSFetcher s_fetch(s_heap);
   std::vector<BlockTuple> r_tuples;
   std::vector<BlockPair> pairs;
   while (true) {
@@ -209,7 +217,6 @@ Status ExactRefineLoop(const SortedPairStream& next, const HeapFile& r_heap,
                 return a.s_oid < b.s_oid;
               });
 
-    CachedSFetcher s_fetch(s_heap);
     for (const BlockPair& bp : pairs) {
       // Small blocks make the boundary check above too coarse: a timeout
       // arriving while results stream to a slow sink must still cancel the
@@ -252,6 +259,7 @@ Status AdaptiveRefineLoop(const SortedPairStream& next, const JoinInput& r,
   const bool emit_accepts = opts.refine.mode == RefineMode::kApproximate;
 
   BlockReader reader(next, *r.heap, opts);
+  CachedSFetcher s_fetch(*s.heap);
   CellCover s_cover;  // Run-scoped scratch; capacities persist across runs.
   std::vector<BlockTuple> r_tuples;
   std::vector<BlockPair> pairs;
@@ -277,7 +285,6 @@ Status AdaptiveRefineLoop(const SortedPairStream& next, const JoinInput& r,
     // only buy a second fetch. ----
     {
       TraceSpan span("refine/cell_filter");
-      CachedSFetcher s_fetch(*s.heap);
       const size_t min_run = std::max<uint32_t>(opts.refine.min_cover_pairs, 1);
       for (size_t i = 0; i < pairs.size();) {
         size_t j = i + 1;

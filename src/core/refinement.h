@@ -23,10 +23,14 @@ using SortedPairStream = std::function<Result<bool>(OidPair*)>;
 
 /// Core of the refinement step, driven by any sorted, de-duplicated pair
 /// stream — the serial path wraps an external sorter (RefineCandidates),
-/// the parallel executor wraps a contiguous shard of an in-memory sorted
-/// candidate array. Steps 2-4 of the §3.2 algorithm: block-wise R fetches
+/// the parallel executor wraps one R-page-range bucket of in-memory sorted
+/// candidates. Steps 2-4 of the §3.2 algorithm: block-wise R fetches
 /// in OID order, per-block re-sort on OID_S ("swizzling"), sequential S
 /// fetches, exact predicate evaluation. Updates breakdown->results only.
+///
+/// Tuples are parsed in place from page-run pins (HeapFile::FetchView):
+/// between fetches the stream holds at most two pins, its current R page
+/// and its current S page, and releases both when it returns.
 ///
 /// With opts.refine.mode != kExact the block loop is driven by the query's
 /// RefinementEngine ("refine/cell_filter" trace sub-span): each run of

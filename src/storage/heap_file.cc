@@ -101,23 +101,36 @@ Result<bool> HeapFile::Cursor::Next(Oid* oid, std::string* record) {
 }
 
 Status HeapFile::Fetch(Oid oid, std::string* out) const {
+  PageHandle page;
+  const char* data = nullptr;
+  size_t size = 0;
+  PBSM_RETURN_IF_ERROR(FetchView(oid, &page, &data, &size));
+  out->assign(data, size);
+  return Status::OK();
+}
+
+Status HeapFile::FetchView(Oid oid, PageHandle* page, const char** data,
+                           size_t* size) const {
   static Counter* const fetches =
       MetricsRegistry::Global().GetCounter("storage.heapfile.fetches");
   fetches->Add();
   if (oid.page_no >= num_pages_) {
     return Status::OutOfRange("OID page beyond heap file");
   }
-  PBSM_ASSIGN_OR_RETURN(PageHandle page,
-                        pool_->FetchPage(PageId{file_, oid.page_no}));
-  const char* base = page.data();
+  const PageId id{file_, oid.page_no};
+  if (!page->valid() || page->id() != id) {
+    // Unpin first: a one-frame pool must be able to serve the next page.
+    page->Release();
+    PBSM_ASSIGN_OR_RETURN(*page, pool_->FetchPage(id));
+  }
+  const char* base = page->data();
   const uint16_t slots = GetU16(base);
   if (oid.slot >= slots) {
     return Status::OutOfRange("OID slot beyond page directory");
   }
   const char* slot_ptr = base + kHeaderSize + oid.slot * kSlotSize;
-  const uint16_t off = GetU16(slot_ptr);
-  const uint16_t len = GetU16(slot_ptr + 2);
-  out->assign(base + off, len);
+  *data = base + GetU16(slot_ptr);
+  *size = GetU16(slot_ptr + 2);
   return Status::OK();
 }
 

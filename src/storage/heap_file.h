@@ -59,8 +59,18 @@ class HeapFile {
     return Append(record.data(), record.size());
   }
 
-  /// Reads the record at `oid` into `out` (replacing its contents).
+  /// Reads the record at `oid` into `out` (replacing its contents). A
+  /// copying wrapper over FetchView.
   Status Fetch(Oid oid, std::string* out) const;
+
+  /// Zero-copy read: points `*data` / `*size` at the record's bytes inside
+  /// the page pinned by `*page`. `*page` is the caller's page-run cursor: it
+  /// is re-pinned only when `oid` lies on a different page than the one it
+  /// holds, so a run of same-page OIDs (refinement's sorted fetches) costs
+  /// one pool round-trip. The bytes stay valid while `*page` keeps the pin.
+  /// A bad page or slot returns OutOfRange.
+  Status FetchView(Oid oid, PageHandle* page, const char** data,
+                   size_t* size) const;
 
   /// Full-file scan: invokes `fn(oid, data, size)` for every record in
   /// physical order. `fn` returns a Status; a non-OK status aborts the scan.

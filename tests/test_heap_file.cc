@@ -79,6 +79,53 @@ TEST(HeapFileTest, FetchBadOidFails) {
   EXPECT_EQ(heap.Fetch(Oid{0, 9}, &out).code(), StatusCode::kOutOfRange);
 }
 
+TEST(HeapFileTest, FetchViewPinsEachPageOfARunOnce) {
+  StorageEnv env;
+  PBSM_ASSERT_OK_AND_ASSIGN(HeapFile heap, HeapFile::Create(env.pool(), "r"));
+  std::vector<Oid> oids;
+  std::vector<std::string> records;
+  for (int i = 0; i < 60; ++i) {
+    records.push_back(std::string(300 + i, 'a' + i % 26));
+    PBSM_ASSERT_OK_AND_ASSIGN(const Oid oid, heap.Append(records.back()));
+    oids.push_back(oid);
+  }
+  ASSERT_GE(heap.num_pages(), 3u);
+  const uint64_t hits_before = env.pool()->hit_count();
+  PageHandle page;
+  uint32_t distinct_pages = 0;
+  for (size_t i = 0; i < oids.size(); ++i) {
+    if (i == 0 || oids[i].page_no != oids[i - 1].page_no) ++distinct_pages;
+    const char* data = nullptr;
+    size_t size = 0;
+    PBSM_ASSERT_OK(heap.FetchView(oids[i], &page, &data, &size));
+    EXPECT_EQ(std::string(data, size), records[i]);
+  }
+  // Every page is cached, so each re-pin is one hit: exactly one per page.
+  EXPECT_EQ(env.pool()->hit_count() - hits_before, distinct_pages);
+  EXPECT_EQ(distinct_pages, heap.num_pages());
+}
+
+TEST(HeapFileTest, FetchViewBadOidFailsAndHandleResetUnpins) {
+  StorageEnv env;
+  PBSM_ASSERT_OK_AND_ASSIGN(HeapFile heap, HeapFile::Create(env.pool(), "r"));
+  PBSM_ASSERT_OK_AND_ASSIGN(const Oid oid, heap.Append("record"));
+  PageHandle page;
+  const char* data = nullptr;
+  size_t size = 0;
+  EXPECT_EQ(heap.FetchView(Oid{5, 0}, &page, &data, &size).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(heap.FetchView(Oid{0, 9}, &page, &data, &size).code(),
+            StatusCode::kOutOfRange);
+  PBSM_ASSERT_OK(heap.FetchView(oid, &page, &data, &size));
+  EXPECT_EQ(std::string(data, size), "record");
+  // The view's page stays pinned between fetches, bad ones included.
+  EXPECT_EQ(heap.FetchView(Oid{0, 9}, &page, &data, &size).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(env.pool()->pinned_frames(), 1u);
+  page = PageHandle();
+  EXPECT_EQ(env.pool()->pinned_frames(), 0u);
+}
+
 TEST(HeapFileTest, ScanVisitsAllRecordsInPhysicalOrder) {
   StorageEnv env;
   PBSM_ASSERT_OK_AND_ASSIGN(HeapFile heap, HeapFile::Create(env.pool(), "r"));

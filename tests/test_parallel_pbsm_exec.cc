@@ -2,9 +2,14 @@
 
 #include <atomic>
 #include <set>
+#include <thread>
 #include <utility>
+#include <vector>
 
+#include "common/canceller.h"
+#include "common/rng.h"
 #include "common/thread_pool.h"
+#include "core/join_methods_internal.h"
 #include "core/spatial_join.h"
 #include "datagen/loader.h"
 #include "datagen/tiger_gen.h"
@@ -14,6 +19,22 @@ namespace pbsm {
 namespace {
 
 using PairSet = std::set<std::pair<uint64_t, uint64_t>>;
+
+constexpr DedupMode kDedupModes[] = {DedupMode::kTwoLayer, DedupMode::kMerge};
+
+/// `n` short random segments inside [origin, origin + 100]^2.
+std::vector<Tuple> Segments(Rng* rng, size_t n, double origin) {
+  std::vector<Tuple> out(n);
+  for (size_t i = 0; i < n; ++i) {
+    const double x = origin + rng->UniformDouble(0, 100);
+    const double y = origin + rng->UniformDouble(0, 100);
+    out[i].id = i;
+    out[i].geometry = Geometry::MakePolyline(
+        {{x, y},
+         {x + rng->UniformDouble(1, 10), y + rng->UniformDouble(1, 10)}});
+  }
+  return out;
+}
 
 TEST(ThreadPoolTest, RunsEveryTaskExactlyOnce) {
   ThreadPool tp(4);
@@ -75,6 +96,21 @@ class ParallelPbsmExecTest : public ::testing::Test {
     }
     return SpatialJoin(env_->pool(), roads_->AsInput(), hydro_->AsInput(),
                        spec);
+  }
+
+  /// Joins `r` x `s` with `method`, collecting the sink's pairs.
+  PairSet JoinPairs(JoinMethod method, const StoredRelation& r,
+                    const StoredRelation& s, const JoinOptions& opts) {
+    JoinSpec spec;
+    spec.method = method;
+    spec.options = opts;
+    PairSet pairs;
+    spec.sink = [&pairs](Oid a, Oid b) {
+      pairs.emplace(a.Encode(), b.Encode());
+    };
+    auto result = SpatialJoin(env_->pool(), r.AsInput(), s.AsInput(), spec);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    return pairs;
   }
 
   PairSet SerialReference(SweepAlgorithm sweep, size_t budget) {
@@ -198,6 +234,122 @@ TEST_F(ParallelPbsmExecTest, MergeModeCostBreakdownHasMergePhase) {
   EXPECT_EQ(cost.phases[3].first, "refinement");
   EXPECT_GT(cost.candidates, 0u);
   EXPECT_GT(cost.Total().cpu_seconds, 0.0);
+}
+
+TEST_F(ParallelPbsmExecTest, RelationWithFewerPagesThanBuckets) {
+  // One R page and 8 threads: 31 of the 32 refinement buckets are empty.
+  Rng rng(7);
+  PBSM_ASSERT_OK_AND_ASSIGN(
+      const StoredRelation r,
+      LoadRelation(env_->pool(), nullptr, "one_page", Segments(&rng, 40, 0.0)));
+  PBSM_ASSERT_OK_AND_ASSIGN(
+      const StoredRelation s,
+      LoadRelation(env_->pool(), nullptr, "many", Segments(&rng, 400, 0.0)));
+  ASSERT_EQ(r.heap.num_pages(), 1u);
+  for (const DedupMode mode : kDedupModes) {
+    JoinOptions opts;
+    opts.memory_budget_bytes = 1 << 20;
+    opts.dedup_mode = mode;
+    const PairSet expected = JoinPairs(JoinMethod::kPbsm, r, s, opts);
+    EXPECT_FALSE(expected.empty());
+    opts.num_threads = 8;
+    EXPECT_EQ(JoinPairs(JoinMethod::kParallelPbsm, r, s, opts), expected)
+        << "dedup " << static_cast<int>(mode);
+  }
+}
+
+TEST_F(ParallelPbsmExecTest, SkewedCandidatesAllInOneBucket) {
+  // Only R's first tuples lie near S, so every candidate has an OID_R on
+  // page 0 and one refinement task does all the work.
+  Rng rng(12);
+  std::vector<Tuple> r_tuples = Segments(&rng, 40, 0.0);
+  for (Tuple& t : Segments(&rng, 3000, 10000.0)) {
+    r_tuples.push_back(std::move(t));
+  }
+  PBSM_ASSERT_OK_AND_ASSIGN(
+      const StoredRelation r,
+      LoadRelation(env_->pool(), nullptr, "skew_r", std::move(r_tuples)));
+  PBSM_ASSERT_OK_AND_ASSIGN(
+      const StoredRelation s,
+      LoadRelation(env_->pool(), nullptr, "skew_s", Segments(&rng, 400, 0.0)));
+  ASSERT_GT(r.heap.num_pages(), 16u);  // More pages than buckets.
+  for (const DedupMode mode : kDedupModes) {
+    JoinOptions opts;
+    opts.memory_budget_bytes = 1 << 20;
+    opts.dedup_mode = mode;
+    const PairSet expected = JoinPairs(JoinMethod::kPbsm, r, s, opts);
+    ASSERT_FALSE(expected.empty());
+    for (const auto& pair : expected) {
+      EXPECT_EQ(Oid::Decode(pair.first).page_no, 0u);
+    }
+    opts.num_threads = 4;
+    EXPECT_EQ(JoinPairs(JoinMethod::kParallelPbsm, r, s, opts), expected)
+        << "dedup " << static_cast<int>(mode);
+  }
+}
+
+TEST_F(ParallelPbsmExecTest, SinkIsNeverEnteredConcurrently) {
+  for (const DedupMode mode : kDedupModes) {
+    JoinOptions opts;
+    opts.memory_budget_bytes = 1 << 20;
+    opts.dedup_mode = mode;
+    const PairSet expected = JoinPairs(JoinMethod::kPbsm, *roads_, *hydro_,
+                                       opts);
+    opts.num_threads = 4;
+    std::atomic<int> inside{0};
+    std::atomic<int> overlaps{0};
+    PairSet got;  // Unlocked: the executor must serialize sink calls.
+    const ResultSink sink = [&](Oid r, Oid s) {
+      if (inside.fetch_add(1) != 0) overlaps.fetch_add(1);
+      got.emplace(r.Encode(), s.Encode());
+      std::this_thread::yield();
+      inside.fetch_sub(1);
+    };
+    // The executor itself, not the facade: the operator tree would buffer
+    // the pairs and call the sink from the driving thread alone.
+    auto result = ParallelPbsmJoin(env_->pool(), roads_->AsInput(),
+                                   hydro_->AsInput(),
+                                   SpatialPredicate::kIntersects, opts, sink);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(overlaps.load(), 0);
+    EXPECT_EQ(got, expected) << "dedup " << static_cast<int>(mode);
+    EXPECT_EQ(result->results, got.size());
+  }
+}
+
+TEST_F(ParallelPbsmExecTest, CancelMidRefinementReleasesPageRunPins) {
+  // Dense enough that a refinement task fills a sink batch mid-stream.
+  Rng rng(5);
+  PBSM_ASSERT_OK_AND_ASSIGN(
+      const StoredRelation r,
+      LoadRelation(env_->pool(), nullptr, "dense_r",
+                   Segments(&rng, 2000, 0.0)));
+  PBSM_ASSERT_OK_AND_ASSIGN(
+      const StoredRelation s,
+      LoadRelation(env_->pool(), nullptr, "dense_s",
+                   Segments(&rng, 2000, 0.0)));
+  for (const DedupMode mode : kDedupModes) {
+    Canceller cancel;
+    JoinOptions opts;
+    opts.memory_budget_bytes = 1 << 20;
+    opts.dedup_mode = mode;
+    opts.num_threads = 1;
+    opts.cancel = &cancel;
+    // The first batch reaches the sink from inside a refinement stream that
+    // still holds its R and S page-run pins; cancel right there.
+    size_t pinned_at_cancel = 0;
+    const ResultSink sink = [&](Oid, Oid) {
+      if (cancel.is_cancelled()) return;
+      pinned_at_cancel = env_->pool()->pinned_frames();
+      cancel.Cancel();
+    };
+    auto result = ParallelPbsmJoin(env_->pool(), r.AsInput(), s.AsInput(),
+                                   SpatialPredicate::kIntersects, opts, sink);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
+    EXPECT_GE(pinned_at_cancel, 2u) << "dedup " << static_cast<int>(mode);
+    EXPECT_EQ(env_->pool()->pinned_frames(), 0u);
+  }
 }
 
 }  // namespace
