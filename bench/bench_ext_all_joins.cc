@@ -2,11 +2,11 @@
 // classification (§2, Table 1) covers four families; this repository
 // implements one member of each, joined here on Road x Hydrography:
 //
-//   transform, no index ........ ZOrderJoin        [Ore86, OM88]
-//   direct 2-D, needs indices .. RtreeJoin         [BKS93]
-//   direct 2-D, builds index ... IndexedNestedLoops (paper's INL)
-//   direct 2-D, no index ....... PBSM (the paper) and
-//                                SpatialHashJoin   [LR96]
+//   transform, no index ........ zorder            [Ore86, OM88]
+//   direct 2-D, needs indices .. rtree             [BKS93]
+//   direct 2-D, builds index ... inl (paper's INL)
+//   direct 2-D, no index ....... pbsm (the paper) and
+//                                spatial_hash      [LR96]
 //
 // Expected shape: the two partition-based no-index algorithms (PBSM and
 // the spatial hash join) lead; the z-transform trails even at its best

@@ -85,14 +85,14 @@ void Run() {
         "\"critical_path_speedup\": %.3f, \"sweep_balance_cov\": %.4f, "
         "\"partitions\": %u, \"candidates\": %llu, \"results\": %llu, "
         "\"partition_wall\": %.4f, \"sweep_wall\": %.4f, "
-        "\"merge_wall\": %.4f, \"refine_wall\": %.4f}",
+        "\"refine_wall\": %.4f}",
         threads, hw, stats.total_wall_seconds, wall_speedup,
         stats.CriticalPathSpeedup(), stats.SweepBalanceCov(),
         cost->num_partitions,
         static_cast<unsigned long long>(cost->candidates),
         static_cast<unsigned long long>(cost->results),
         stats.partition_wall_seconds, stats.sweep_wall_seconds,
-        stats.merge_wall_seconds, stats.refine_wall_seconds);
+        stats.refine_wall_seconds);
     std::printf("  %s\n", json);
     if (json_out != nullptr) std::fprintf(json_out, "%s\n", json);
   }

@@ -2,14 +2,14 @@
 //
 // `bench_micro_rtree --compare-layouts` skips google-benchmark and instead
 // compares the in-memory node layouts end to end through WindowQuery: for
-// each workload it builds one tree per layout (AoS page scans, SoA double
-// ribbons, quantized uint16 ribbons), verifies every layout x kernel
+// each workload it builds one tree per layout (AoS page scans, quantized
+// uint16 ribbons), verifies every layout x kernel
 // combination returns the identical hit set on every probe (exit 1 on
 // mismatch), and times a fixed probe batch best-of-N. One
 // RTREE_COMPARE_JSON line is emitted; the checked-in baseline lives at
 // bench/results/simd_rtree_baseline.json and the CI perf-smoke job replays
-// this mode, gating best_speedup (scalar AoS vs the best vector ribbon
-// variant) on AVX2 hosts.
+// this mode, gating best_speedup (scalar AoS vs the AVX2 ribbon variant)
+// on AVX2 hosts.
 
 #include <benchmark/benchmark.h>
 
@@ -120,7 +120,7 @@ struct LayoutCase {
 };
 
 struct LayoutVariant {
-  const char* label;   ///< JSON key prefix, e.g. "soa_avx2".
+  const char* label;   ///< JSON key prefix, e.g. "q16_avx2".
   NodeLayout layout;
   SimdMode simd;
 };
@@ -161,8 +161,6 @@ int RunCompareLayouts() {
   };
   const LayoutVariant variants[] = {
       {"aos_scalar", NodeLayout::kAos, SimdMode::kScalar},
-      {"soa_scalar", NodeLayout::kSoa, SimdMode::kScalar},
-      {"soa_avx2", NodeLayout::kSoa, SimdMode::kAvx2},
       {"q16_scalar", NodeLayout::kSoaQuantized, SimdMode::kScalar},
       {"q16_avx2", NodeLayout::kSoaQuantized, SimdMode::kAvx2},
   };
@@ -179,7 +177,7 @@ int RunCompareLayouts() {
     const auto entries = RandomEntries(c.n, 11);
     std::vector<RStarTree> trees;  // One per layout, same page images.
     for (const NodeLayout layout :
-         {NodeLayout::kAos, NodeLayout::kSoa, NodeLayout::kSoaQuantized}) {
+         {NodeLayout::kAos, NodeLayout::kSoaQuantized}) {
       auto tree = RStarTree::BulkLoad(
           ws.pool(),
           std::string(c.label) + "_" + std::string(NodeLayoutName(layout)) +
@@ -235,15 +233,14 @@ int RunCompareLayouts() {
                     vi > 0 ? "," : "", v.label, ms[vi]);
       variants_json += field;
     }
-    // The headline ratio: scalar AoS page scans vs the best vector ribbon.
-    const double best_simd_ms = std::min(ms[2], ms[4]);
-    const double speedup = best_simd_ms > 0 ? ms[0] / best_simd_ms : 0.0;
+    // The headline ratio: scalar AoS page scans vs the vector ribbon.
+    const double speedup = ms[2] > 0 ? ms[0] / ms[2] : 0.0;
     if (have_avx2 && speedup > best_speedup) best_speedup = speedup;
     std::printf(
         "  %-12s n=%-7zu probes=%-5zu hits=%-8llu aos=%8.2fms "
-        "soa=%8.2fms/%8.2fms q16=%8.2fms/%8.2fms speedup=%5.2fx %s\n",
+        "q16=%8.2fms/%8.2fms speedup=%5.2fx %s\n",
         c.label, c.n, c.probes, static_cast<unsigned long long>(hits), ms[0],
-        ms[1], ms[2], ms[3], ms[4], speedup, match ? "MATCH" : "MISMATCH");
+        ms[1], ms[2], speedup, match ? "MATCH" : "MISMATCH");
 
     char row[512];
     std::snprintf(row, sizeof(row),

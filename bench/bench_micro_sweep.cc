@@ -10,15 +10,6 @@
 // The checked-in baseline lives at bench/results/simd_sweep_baseline.json
 // and the CI perf-smoke job replays this mode on every push.
 //
-// `bench_micro_sweep --compare-dedup` compares the two dedup_mode filter
-// schemes end to end through the parallel executor on the Figure 7 and 8
-// workloads (Road x Hydrography, Road x Rail): verifies both modes produce
-// the identical result-pair set, times the filter phases (partition +
-// sweep/mini-join + merge; refinement excluded since the knob does not
-// touch it), and emits one DEDUP_COMPARE_JSON line. Baseline:
-// bench/results/two_layer_baseline.json; CI's perf-smoke job gates
-// two_layer_filter_ms <= merge_filter_ms on the fig07 case.
-//
 // `bench_micro_sweep --compare-refine` compares refine_mode=exact against
 // refine_mode=adaptive (true-hit cell filtering) on the same two workloads:
 // verifies the adaptive engine produces the identical result-pair set,
@@ -216,155 +207,16 @@ int RunCompareKernels() {
 }
 
 // ---------------------------------------------------------------------------
-// --compare-dedup mode.
+// --compare-refine mode.
 // ---------------------------------------------------------------------------
 
-struct DedupCase {
+struct JoinCase {
   const char* label;
   const std::vector<Tuple>* r;
   const std::vector<Tuple>* s;
   const char* r_name;
   const char* s_name;
 };
-
-struct DedupRun {
-  double filter_ms = 1e300;  ///< Best-of-N partition+filter(+merge) wall.
-  double partition_ms = 0.0;  ///< Components of the best filter_ms rep.
-  double sweep_ms = 0.0;
-  double merge_ms = 0.0;
-  double total_ms = 0.0;
-  uint64_t candidates = 0;
-  uint64_t duplicates = 0;
-  uint64_t results = 0;
-  uint32_t threads = 0;
-  std::vector<OidPair> pairs;  ///< Sorted result pairs, for the match check.
-};
-
-/// Runs the parallel executor under `mode` in one workspace, best-of-kReps
-/// after a warm-up rep (which also warms the buffer pool). The timed
-/// quantity is the filter critical path — partition + sweep/mini-join +
-/// merge walls; merge_wall is identically 0 under two_layer, which is the
-/// phase deletion this comparison exists to measure.
-DedupRun RunDedupMode(const DedupCase& c, size_t budget_bytes,
-                      DedupMode mode) {
-  // The Equation-1 budget (which fixes the partition count and hence the
-  // replication the merge path must dedup) is the paper-faithful pool
-  // point, but the *actual* pool is sized to cache both inputs: this mode
-  // compares the filter CPU paths, and eviction churn in the shared scan
-  // phase would only add mode-independent noise.
-  bench::Workspace ws(std::max<size_t>(budget_bytes, 128u << 20));
-  auto r = LoadRelation(ws.pool(), nullptr, c.r_name, *c.r);
-  PBSM_CHECK(r.ok()) << r.status().ToString();
-  auto s = LoadRelation(ws.pool(), nullptr, c.s_name, *c.s);
-  PBSM_CHECK(s.ok()) << s.status().ToString();
-
-  JoinOptions opts;
-  opts.memory_budget_bytes = budget_bytes;
-  opts.num_tiles = 1024;  // The paper's default (§4.3).
-  opts.dedup_mode = mode;
-
-  DedupRun run;
-  constexpr int kReps = 5;
-  for (int rep = 0; rep <= kReps; ++rep) {
-    std::vector<OidPair> pairs;
-    ParallelJoinStats stats;
-    JoinSpec spec;
-    spec.method = JoinMethod::kParallelPbsm;
-    spec.options = opts;
-    spec.parallel_stats = &stats;
-    spec.sink = [&pairs](Oid ro, Oid so) {
-      pairs.push_back(OidPair{ro.Encode(), so.Encode()});
-    };
-    auto result = SpatialJoin(ws.pool(), r->AsInput(), s->AsInput(), spec);
-    PBSM_CHECK(result.ok()) << result.status().ToString();
-    if (rep == 0) continue;  // Warm-up.
-    const double filter_ms =
-        (stats.partition_wall_seconds + stats.sweep_wall_seconds +
-         stats.merge_wall_seconds) *
-        1e3;
-    if (filter_ms < run.filter_ms) {
-      run.filter_ms = filter_ms;
-      run.partition_ms = stats.partition_wall_seconds * 1e3;
-      run.sweep_ms = stats.sweep_wall_seconds * 1e3;
-      run.merge_ms = stats.merge_wall_seconds * 1e3;
-      run.total_ms = stats.total_wall_seconds * 1e3;
-    }
-    run.candidates = result->breakdown.candidates;
-    run.duplicates = result->breakdown.duplicates_removed;
-    run.results = result->breakdown.results;
-    run.threads = stats.num_threads;
-    run.pairs = std::move(pairs);
-  }
-  std::sort(run.pairs.begin(), run.pairs.end());
-  return run;
-}
-
-int RunCompareDedup() {
-  const double scale = bench::ScaleFromEnv();
-  const bench::TigerData tiger = bench::GenTiger(scale);
-  const DedupCase cases[] = {
-      {"fig07-road-hydro", &tiger.roads, &tiger.hydro, "road", "hydrography"},
-      {"fig08-road-rail", &tiger.roads, &tiger.rail, "road", "rail"},
-  };
-  // The paper's largest (24 MB) pool point: this measures the filter CPU
-  // path, not buffer-pool thrash.
-  const size_t pool_bytes = bench::PoolSizes(scale).back().second;
-
-  std::printf("Dedup-mode comparison (parallel PBSM, merge vs two_layer)\n");
-  std::printf("  scale=%.2f pool_pages=%zu\n", scale, pool_bytes / kPageSize);
-
-  bool all_match = true;
-  std::string cases_json = "[";
-  for (const DedupCase& c : cases) {
-    const DedupRun merge = RunDedupMode(c, pool_bytes, DedupMode::kMerge);
-    const DedupRun two = RunDedupMode(c, pool_bytes, DedupMode::kTwoLayer);
-    const bool match = merge.pairs == two.pairs;
-    all_match = all_match && match;
-    const double speedup =
-        two.filter_ms > 0 ? merge.filter_ms / two.filter_ms : 0.0;
-    std::printf(
-        "  %-18s r=%-7zu s=%-7zu threads=%u merge=%8.2fms (dups=%llu) "
-        "two_layer=%8.2fms filter_speedup=%5.2fx %s\n",
-        c.label, c.r->size(), c.s->size(), two.threads, merge.filter_ms,
-        static_cast<unsigned long long>(merge.duplicates), two.filter_ms,
-        speedup, match ? "MATCH" : "MISMATCH");
-
-    char row[768];
-    std::snprintf(
-        row, sizeof(row),
-        "%s{\"label\":\"%s\",\"r_n\":%zu,\"s_n\":%zu,\"threads\":%u,"
-        "\"merge_filter_ms\":%.3f,\"merge_phases_ms\":[%.3f,%.3f,%.3f],"
-        "\"two_layer_filter_ms\":%.3f,\"two_layer_phases_ms\":[%.3f,%.3f],"
-        "\"filter_speedup\":%.3f,\"merge_total_ms\":%.3f,"
-        "\"two_layer_total_ms\":%.3f,\"merge_candidates\":%llu,"
-        "\"merge_duplicates_removed\":%llu,\"two_layer_candidates\":%llu,"
-        "\"results\":%llu,\"match\":%s}",
-        cases_json.size() > 1 ? "," : "", c.label, c.r->size(), c.s->size(),
-        two.threads, merge.filter_ms, merge.partition_ms, merge.sweep_ms,
-        merge.merge_ms, two.filter_ms, two.partition_ms, two.sweep_ms,
-        speedup, merge.total_ms,
-        two.total_ms, static_cast<unsigned long long>(merge.candidates),
-        static_cast<unsigned long long>(merge.duplicates),
-        static_cast<unsigned long long>(two.candidates),
-        static_cast<unsigned long long>(two.results),
-        match ? "true" : "false");
-    cases_json += row;
-  }
-  cases_json += "]";
-
-  std::printf("  %s\n", all_match ? "(all result-pair sets match)"
-                                  : "(RESULT-PAIR SET MISMATCH)");
-  std::printf(
-      "DEDUP_COMPARE_JSON {\"schema\":\"pbsm.dedup_compare.v1\","
-      "\"host\":%s,\"scale\":%.2f,\"all_match\":%s,\"cases\":%s}\n",
-      bench::HostInfoJson().c_str(), scale, all_match ? "true" : "false",
-      cases_json.c_str());
-  return all_match ? 0 : 1;
-}
-
-// ---------------------------------------------------------------------------
-// --compare-refine mode.
-// ---------------------------------------------------------------------------
 
 struct RefineRun {
   double refine_ms = 1e300;  ///< Best-of-N refinement-phase wall.
@@ -383,7 +235,7 @@ struct RefineRun {
 /// after a warm-up rep. The timed quantity is the refinement phase alone
 /// (refine_wall_seconds): the cell filter replaces exact predicate tests
 /// there and nowhere else.
-RefineRun RunRefineMode(const DedupCase& c, size_t budget_bytes,
+RefineRun RunRefineMode(const JoinCase& c, size_t budget_bytes,
                         RefineMode mode) {
   bench::Workspace ws(std::max<size_t>(budget_bytes, 128u << 20));
   auto r = LoadRelation(ws.pool(), nullptr, c.r_name, *c.r);
@@ -440,7 +292,7 @@ RefineRun RunRefineMode(const DedupCase& c, size_t budget_bytes,
 int RunCompareRefine() {
   const double scale = bench::ScaleFromEnv();
   const bench::TigerData tiger = bench::GenTiger(scale);
-  const DedupCase cases[] = {
+  const JoinCase cases[] = {
       {"fig07-road-hydro", &tiger.roads, &tiger.hydro, "road", "hydrography"},
       {"fig08-road-rail", &tiger.roads, &tiger.rail, "road", "rail"},
   };
@@ -451,7 +303,7 @@ int RunCompareRefine() {
 
   bool all_match = true;
   std::string cases_json = "[";
-  for (const DedupCase& c : cases) {
+  for (const JoinCase& c : cases) {
     const RefineRun exact = RunRefineMode(c, pool_bytes, RefineMode::kExact);
     const RefineRun adaptive =
         RunRefineMode(c, pool_bytes, RefineMode::kAdaptive);
@@ -510,9 +362,6 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--compare-kernels") == 0) {
       return pbsm::RunCompareKernels();
-    }
-    if (std::strcmp(argv[i], "--compare-dedup") == 0) {
-      return pbsm::RunCompareDedup();
     }
     if (std::strcmp(argv[i], "--compare-refine") == 0) {
       return pbsm::RunCompareRefine();

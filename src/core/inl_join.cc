@@ -4,91 +4,12 @@
 #include <string>
 #include <vector>
 
-#include "common/metrics.h"
+#include "common/trace.h"
 #include "core/index_build.h"
 #include "core/sweep_kernel.h"
 #include "storage/tuple.h"
 
 namespace pbsm {
-
-Result<JoinCostBreakdown> IndexedNestedLoopsJoin(
-    BufferPool* pool, const JoinInput& indexed, const JoinInput& probing,
-    SpatialPredicate pred, const JoinOptions& opts, const ResultSink& sink,
-    const RStarTree* preexisting_index, bool indexed_is_left) {
-  JoinCostBreakdown breakdown;
-  DiskManager* disk = pool->disk();
-
-  std::optional<RStarTree> built;
-  const RStarTree* index = preexisting_index;
-  if (index == nullptr) {
-    const std::string phase = "build index " + indexed.info.name;
-    PhaseCost& cost = breakdown.AddPhase(phase);
-    PhaseTimer timer(disk, &cost, phase);
-    PBSM_ASSIGN_OR_RETURN(
-        RStarTree tree,
-        BuildIndexByBulkLoad(pool, indexed,
-                             "inl_idx_" + indexed.info.name + ".rtree",
-                             opts.index_fill_factor,
-                             opts.memory_budget_bytes, opts.rtree_layout));
-    built.emplace(std::move(tree));
-    index = &*built;
-  }
-
-  {
-    PhaseCost& cost = breakdown.AddPhase("probe index");
-    PhaseTimer timer(disk, &cost, "probe index");
-    // INL evaluates the exact predicate inline, so its probe loop is also
-    // its refinement step for true/false-positive accounting.
-    static Counter* const true_positives =
-        MetricsRegistry::Global().GetCounter("join.refine.true_positives");
-    static Counter* const false_positives =
-        MetricsRegistry::Global().GetCounter("join.refine.false_positives");
-    uint64_t tp = 0, fp = 0;
-    std::vector<uint64_t> hits;
-    std::string record;
-    const Status scan_status = probing.heap->Scan(
-        [&](Oid s_oid, const char* data, size_t size) -> Status {
-          PBSM_ASSIGN_OR_RETURN(const Tuple s_tuple,
-                                Tuple::Parse(data, size));
-          hits.clear();
-          PBSM_RETURN_IF_ERROR(
-              index->WindowQuery(s_tuple.geometry.Mbr(), &hits, opts.simd));
-          breakdown.candidates += hits.size();
-          for (const uint64_t r_encoded : hits) {
-            // Fetch the matching indexed tuple and check the predicate
-            // right away (no separate refinement pass).
-            PBSM_RETURN_IF_ERROR(
-                indexed.heap->Fetch(Oid::Decode(r_encoded), &record));
-            PBSM_ASSIGN_OR_RETURN(const Tuple r_tuple,
-                                  Tuple::Parse(record.data(), record.size()));
-            const bool matches =
-                indexed_is_left
-                    ? EvaluatePredicate(pred, r_tuple.geometry,
-                                        s_tuple.geometry,
-                                        opts.refinement_mode)
-                    : EvaluatePredicate(pred, s_tuple.geometry,
-                                        r_tuple.geometry,
-                                        opts.refinement_mode);
-            if (matches) {
-              ++tp;
-              ++breakdown.results;
-              if (sink) sink(Oid::Decode(r_encoded), s_oid);
-            } else {
-              ++fp;
-            }
-          }
-          return Status::OK();
-        });
-    true_positives->Add(tp);
-    false_positives->Add(fp);
-    PBSM_RETURN_IF_ERROR(scan_status);
-  }
-
-  if (built.has_value()) {
-    PBSM_RETURN_IF_ERROR(pool->DropFile(built->file()));
-  }
-  return breakdown;
-}
 
 Status InlFilter(BufferPool* pool, const JoinInput& indexed,
                  const JoinInput& probing, const JoinOptions& opts,
@@ -115,9 +36,8 @@ Status InlFilter(BufferPool* pool, const JoinInput& indexed,
   {
     PhaseCost& cost = breakdown->AddPhase("probe index");
     PhaseTimer timer(disk, &cost, "probe index");
-    // Unlike the monolithic INL, probe hits become candidate pairs for a
-    // downstream refinement operator instead of being tested inline — the
-    // indexed tuples are never fetched here.
+    // Probe hits become candidate pairs for the downstream refinement
+    // operator; the indexed tuples are never fetched here.
     Status append_status;
     std::vector<OidPair> buf;
     buf.reserve(kPairBufferCap);

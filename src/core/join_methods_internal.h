@@ -1,18 +1,23 @@
 #ifndef PBSM_CORE_JOIN_METHODS_INTERNAL_H_
 #define PBSM_CORE_JOIN_METHODS_INTERNAL_H_
 
-// Implementation-internal entry points of the six join algorithms. These
-// are the functions the SpatialJoin facade (core/spatial_join.h) dispatches
-// to; they carry no tracing, metrics capture, or orientation handling of
-// their own. External callers — tests, benches, examples, the service —
-// go through the facade; only src/core/*.cc and the operator engine in
-// src/exec/*.cc include this header.
+// Implementation-internal entry points of the join algorithms. External
+// callers — tests, benches, examples, the service — go through the
+// SpatialJoin facade (core/spatial_join.h); only src/core/*.cc and the
+// operator engine in src/exec/*.cc include this header.
 //
-// Each method exists in two granularities: the XxxJoin functions run
-// filter + refinement end to end (the legacy monolithic entry points), and
-// the XxxFilter functions run the filter step only, appending candidate
-// OID pairs to a caller-owned CandidateSorter — the form the exec layer's
-// FilterJoinOp wraps so refinement can live behind its own operator.
+// Each serial method is a filter: an XxxFilter function runs the method's
+// filter phases and appends candidate OID pairs to a caller-owned
+// CandidateSorter. The exec layer's FilterJoinOp wraps it and RefineOp
+// settles the sorted, de-duplicated candidates (§3.2), so every serial
+// method runs as FilterJoinOp -> RefineOp. The parallel executor
+// (ParallelPbsmJoin) runs filter and refinement itself and sits behind
+// ParallelJoinOp.
+//
+// Each filter records its phases into `*breakdown` and appends candidates
+// to `*sorter` without calling Finish() on it. Pairs are in the caller's
+// (r, s) orientation. Cancellation (opts.cancel) is polled at phase and
+// partition boundaries.
 
 #include "common/status.h"
 #include "core/join_cost.h"
@@ -24,62 +29,23 @@
 
 namespace pbsm {
 
-/// The Partition Based Spatial-Merge join (the paper's §3).
-///
-/// Filter step: both inputs are scanned once; each tuple's key-pointer
-/// (<MBR, OID>) is routed by the tiled spatial partitioning function into
-/// one or more of P on-disk partitions (P from Equation 1 unless
-/// overridden). Each partition pair is then merged in memory with a
-/// plane-sweep rectangle join, producing candidate OID pairs.
-///
-/// Refinement step: candidates are sorted on (OID_R, OID_S) with duplicate
-/// elimination, tuples are fetched block-wise (R in physical order, S
-/// sequentially per block) and the candidate is settled exactly or through
-/// the adaptive cell-cover engine (opts.refine).
-///
-/// Partition pairs that exceed the memory budget are handled per §3.5:
-/// dynamically repartitioned with a finer tile grid (when
-/// opts.dynamic_repartition, an extension over the paper's implementation),
-/// falling back to chunked sweeps with S re-reads once the recursion depth
-/// is exhausted.
-///
-/// Returns the per-component cost breakdown; result pairs go to `sink`
-/// (which may be empty when only counts are needed).
-Result<JoinCostBreakdown> PbsmJoin(BufferPool* pool, const JoinInput& r,
-                                   const JoinInput& s, SpatialPredicate pred,
-                                   const JoinOptions& opts,
-                                   const ResultSink& sink = {});
-
-/// Real shared-memory parallel PBSM join (the threaded counterpart of the
-/// cost-model-only SimulateParallelPbsm). The phase structure depends on
-/// opts.dedup_mode.
-///
-/// kTwoLayer (default; duplicate-free, see core/two_layer_filter.h):
+/// Real shared-memory parallel PBSM join with duplicate-free two-layer
+/// partitioning (see core/two_layer_filter.h). Three phases:
 ///  * "partition inputs": page ranges of both inputs split across scan
 ///    tasks, each replicating tuples into per-partition buffers as
 ///    corner-classed tile copies (no locks);
 ///  * "filter partitions": each partition is an independent task running
 ///    the class-pair mini-joins — globally, every candidate pair is
-///    emitted exactly once, so each task just sorts its own run into the
-///    executing worker's arena;
-///  * "refinement": each non-empty partition run is a shard, refined
-///    concurrently. No merge phase exists in this mode.
+///    emitted exactly once, so each task appends its candidates to R-page
+///    buckets in the executing worker's arena;
+///  * "refinement": one task per R-page bucket gathers, sorts and refines
+///    its candidates concurrently.
 ///
-/// kMerge (the paper's replicate-then-dedup scheme):
-///  * "partition inputs": as above, but with plain key-pointer copies;
-///  * "sweep partitions": each partition pair is an independent task —
-///    gather the thread-local buffers for that partition, plane-sweep them
-///    (recursive in-memory repartition on budget overflow, §3.5), sort the
-///    emitted candidates;
-///  * "merge candidates": the sorted per-partition candidate runs are
-///    k-way merged with duplicate elimination (serial);
-///  * "refinement": the de-duplicated array is sharded on OID_R boundaries
-///    and refined concurrently (each shard fetches disjoint R tuples
-///    through the now thread-safe buffer pool).
-///
-/// Produces exactly the de-duplicated result pairs of the serial PbsmJoin.
-/// `sink` may be called concurrently from worker threads (calls are
-/// serialised internally, but arrival order is nondeterministic).
+/// opts.dedup_mode is ignored: there is no merge-dedup phase and no §3.5
+/// repartition (partitions are processed whole). Produces exactly the
+/// result pairs of serial PBSM. `sink` may be called from worker threads
+/// (calls are serialised internally, but arrival order is
+/// nondeterministic).
 ///
 /// In the returned breakdown, each phase's cpu_seconds is the phase's
 /// *wall-clock* time (workers run concurrently) and its io counters are the
@@ -93,52 +59,66 @@ Result<JoinCostBreakdown> ParallelPbsmJoin(BufferPool* pool,
                                            const ResultSink& sink = {},
                                            ParallelJoinStats* stats = nullptr);
 
-/// Indexed nested loops spatial join (the paper's §4.1).
+/// The Partition Based Spatial-Merge join's filter step (the paper's §3.1,
+/// §3.4, §3.5).
 ///
-/// `indexed` is the input carrying (or receiving) the R*-tree — the paper
-/// always indexes the smaller input when building from scratch; `probing`
-/// is scanned and probes the index tuple by tuple. For every probe hit the
-/// matching indexed tuple is fetched (a random I/O unless cached) and the
-/// exact predicate is evaluated immediately — INL has no separate
-/// refinement pass (and therefore ignores opts.refine).
+/// Both inputs are scanned once; each tuple's key-pointer (<MBR, OID>) is
+/// routed by the tiled spatial partitioning function into one or more of P
+/// on-disk partitions (P from Equation 1 unless overridden). Each partition
+/// pair is then merged in memory, producing candidate OID pairs:
+///  * kTwoLayer (default): corner-classed tile copies and duplicate-free
+///    per-tile mini-joins. Partitions are processed whole.
+///  * kMerge (the paper's scheme): a plane sweep per partition pair; the
+///    refinement sort removes the replicated candidates. Partition pairs
+///    that exceed the memory budget are handled per §3.5: dynamically
+///    repartitioned with a finer tile grid (when opts.dynamic_repartition,
+///    an extension over the paper's implementation), falling back to
+///    chunked sweeps with S re-reads once the recursion depth is exhausted.
 ///
-/// When `preexisting_index` is non-null the build phase is skipped
-/// (Figures 14/15's INL-1-* variants); otherwise the index is bulk loaded
-/// and its cost appears as the "build index" component.
-///
-/// Predicate orientation: the join condition is written pred(L, R) over
-/// logical inputs; because INL may index either physical input, the caller
-/// states which side the indexed input plays. With `indexed_is_left` (the
-/// default) the exact test runs as pred(indexed, probing); otherwise as
-/// pred(probing, indexed). Symmetric predicates (kIntersects) are
-/// unaffected; containment joins must set this correctly.
-///
-/// Result pairs are emitted as (indexed, probing) regardless.
-Result<JoinCostBreakdown> IndexedNestedLoopsJoin(
-    BufferPool* pool, const JoinInput& indexed, const JoinInput& probing,
-    SpatialPredicate pred, const JoinOptions& opts,
-    const ResultSink& sink = {}, const RStarTree* preexisting_index = nullptr,
-    bool indexed_is_left = true);
+/// Phases "partition <r>", "partition <s>", "merge partitions".
+Status PbsmFilter(BufferPool* pool, const JoinInput& r, const JoinInput& s,
+                  const JoinOptions& opts, CandidateSorter* sorter,
+                  JoinCostBreakdown* breakdown);
 
-/// R-tree based spatial join (Brinkhoff, Kriegel, Seeger — SIGMOD '93),
-/// the paper's §4.2 baseline.
+/// R-tree based spatial join filter (Brinkhoff, Kriegel, Seeger — SIGMOD
+/// '93), the paper's §4.2 baseline.
 ///
 /// Bulk loads an R*-tree on each input that lacks one (pass non-null
 /// `r_index`/`s_index` for the Figures 14/15 pre-existing-index variants),
 /// then performs a synchronized depth-first traversal of the two trees:
 /// at each step the entries of one R node and one S node are joined with
 /// the same plane-sweep technique PBSM uses, and matching child pairs are
-/// traversed in tandem. Leaf-level matches become candidate OID pairs,
-/// which run through the shared refinement step (§3.2 semantics, identical
-/// to PBSM's).
-Result<JoinCostBreakdown> RtreeJoin(BufferPool* pool, const JoinInput& r,
-                                    const JoinInput& s, SpatialPredicate pred,
-                                    const JoinOptions& opts,
-                                    const ResultSink& sink = {},
-                                    const RStarTree* r_index = nullptr,
-                                    const RStarTree* s_index = nullptr);
+/// traversed in tandem. Leaf-level matches become candidate OID pairs.
+/// Any index built here is dropped before returning.
+///
+/// Phases "build index <name>" (per missing side), "join trees".
+Status RtreeFilter(BufferPool* pool, const JoinInput& r, const JoinInput& s,
+                   const JoinOptions& opts, CandidateSorter* sorter,
+                   JoinCostBreakdown* breakdown,
+                   const RStarTree* r_index = nullptr,
+                   const RStarTree* s_index = nullptr);
 
-/// Options for the spatial hash join (the facade builds one from
+/// Indexed nested loops filter (the paper's §4.1).
+///
+/// `indexed` is the input carrying (or receiving) the R*-tree — the paper
+/// indexes the smaller input when building from scratch; `probing` is
+/// scanned and probes the index tuple by tuple. Each window-query hit
+/// becomes a candidate pair; the indexed tuples are never fetched here.
+/// When `preexisting_index` is non-null the build phase is skipped
+/// (Figures 14/15's INL-1-* variants); otherwise the index is bulk loaded
+/// and dropped before returning.
+///
+/// Pairs are emitted as (indexed, probing) when `emit_indexed_first`, else
+/// flipped — the caller passes the flag restoring its own (r, s)
+/// orientation. Phases "build index <name>" (when building),
+/// "probe index".
+Status InlFilter(BufferPool* pool, const JoinInput& indexed,
+                 const JoinInput& probing, const JoinOptions& opts,
+                 CandidateSorter* sorter, JoinCostBreakdown* breakdown,
+                 const RStarTree* preexisting_index = nullptr,
+                 bool emit_indexed_first = true);
+
+/// Options for the spatial hash filter (FilterJoinOp builds one from
 /// JoinSpec::hash).
 struct SpatialHashJoinOptions {
   /// Number of buckets; 0 derives it from Equation 1 like PBSM.
@@ -148,9 +128,9 @@ struct SpatialHashJoinOptions {
   JoinOptions join;
 };
 
-/// Spatial hash join (Lo & Ravishankar, SIGMOD '96) — the concurrent
-/// no-index algorithm the paper's §2 and Table 1 discuss, implemented as a
-/// fourth join for comparison.
+/// Spatial hash join filter (Lo & Ravishankar, SIGMOD '96) — the
+/// concurrent no-index algorithm the paper's §2 and Table 1 discuss,
+/// implemented as a fourth join for comparison.
 ///
 /// Where PBSM partitions *both* inputs with one space-regular tiling and
 /// replicates any object spanning tiles, the spatial hash join is
@@ -160,20 +140,22 @@ struct SpatialHashJoinOptions {
 ///     in for LR96's seeded-tree levels);
 ///  2. every R tuple goes to exactly ONE bucket — the one whose extent
 ///     needs the least enlargement (the bucket extent grows to cover it),
-///     so R is never replicated;
+///     so R is never replicated and candidates are unique;
 ///  3. every S tuple is replicated to ALL buckets whose (final) extents
 ///     its MBR overlaps; S tuples overlapping no bucket are dropped by the
 ///     filter (they cannot join);
-///  4. each bucket pair is plane-sweep joined and candidates run through
-///     the shared refinement (LR96 itself "ignores the very expensive
-///     refinement step" — the paper's words; here it is included so totals
-///     are comparable).
-Result<JoinCostBreakdown> SpatialHashJoin(
-    BufferPool* pool, const JoinInput& r, const JoinInput& s,
-    SpatialPredicate pred, const SpatialHashJoinOptions& options,
-    const ResultSink& sink = {});
+///  4. each bucket pair is plane-sweep joined into candidates. LR96 itself
+///     "ignores the very expensive refinement step" (the paper's words);
+///     here the shared refinement runs after it so totals are comparable.
+///
+/// Phases "sample <r>", "partition <r>", "partition <s>", "merge buckets".
+Status SpatialHashFilter(BufferPool* pool, const JoinInput& r,
+                         const JoinInput& s,
+                         const SpatialHashJoinOptions& options,
+                         CandidateSorter* sorter,
+                         JoinCostBreakdown* breakdown);
 
-/// Options for the z-value transform join (the facade builds one from
+/// Options for the z-value transform filter (FilterJoinOp builds one from
 /// JoinSpec::zorder).
 struct ZOrderJoinOptions {
   /// Quadtree depth: the universe is a 2^max_level x 2^max_level pixel
@@ -188,78 +170,22 @@ struct ZOrderJoinOptions {
   JoinOptions join;  ///< Memory budget, refinement mode, etc.
 };
 
-/// Orenstein-style z-value spatial join ([Ore86, OM88] — the
+/// Orenstein-style z-value spatial join filter ([Ore86, OM88] — the
 /// "transform the approximation into another dimension" family of the
 /// paper's Table 1, built as an additional comparison baseline).
 ///
-/// Filter: each tuple's MBR is approximated by up to
-/// `max_cells_per_object` quadtree cells; each cell is a z-order interval
-/// [lo, hi). Both inputs become z-interval lists, externally sorted by
-/// (lo asc, hi desc). Because quadtree intervals are either nested or
-/// disjoint, a single merge pass with one containment stack per input
-/// finds every R/S pair with overlapping intervals — the 1-D "merge" the
-/// transform approach buys. The filter never misses a truly intersecting
-/// pair (cell covers are supersets of the MBRs) but produces more false
-/// positives than the MBR filter, which is the drawback the paper cites.
+/// Each tuple's MBR is approximated by up to `max_cells_per_object`
+/// quadtree cells; each cell is a z-order interval [lo, hi). Both inputs
+/// become z-interval lists, externally sorted by (lo asc, hi desc).
+/// Because quadtree intervals are either nested or disjoint, a single
+/// merge pass with one containment stack per input finds every R/S pair
+/// with overlapping intervals — the 1-D "merge" the transform approach
+/// buys. The filter never misses a truly intersecting pair (cell covers
+/// are supersets of the MBRs) but produces more false positives than the
+/// MBR filter, which is the drawback the paper cites. One object pair can
+/// meet through several cells; the refinement sort removes the repeats.
 ///
-/// Refinement: identical to PBSM's (shared RefineCandidates), including
-/// duplicate elimination — one object pair can meet through several cells.
-Result<JoinCostBreakdown> ZOrderJoin(BufferPool* pool, const JoinInput& r,
-                                     const JoinInput& s,
-                                     SpatialPredicate pred,
-                                     const ZOrderJoinOptions& options,
-                                     const ResultSink& sink = {});
-
-// --- Filter-only entry points (candidate producers) ---
-//
-// Each runs its method's filter phases (recorded into `*breakdown` under
-// the same phase names the monolithic function uses) and appends candidate
-// OID pairs to `*sorter` without calling Finish() on it. Pairs are in the
-// caller's (r, s) orientation. Cancellation is polled at the same points
-// as the monolithic paths.
-
-/// PBSM filter: partition both inputs, merge each partition pair with the
-/// plane sweep (§3.1/§3.4/§3.5). Phases "partition <r>", "partition <s>",
-/// "merge partitions".
-Status PbsmFilter(BufferPool* pool, const JoinInput& r, const JoinInput& s,
-                  const JoinOptions& opts, CandidateSorter* sorter,
-                  JoinCostBreakdown* breakdown);
-
-/// BKS93 tree-join filter: bulk loads missing indexes, runs the
-/// synchronized traversal, and drops any index it built before returning.
-/// Phases "build index <name>" (per missing side), "join trees".
-Status RtreeFilter(BufferPool* pool, const JoinInput& r, const JoinInput& s,
-                   const JoinOptions& opts, CandidateSorter* sorter,
-                   JoinCostBreakdown* breakdown,
-                   const RStarTree* r_index = nullptr,
-                   const RStarTree* s_index = nullptr);
-
-/// INL filter: builds (or reuses) the index over `indexed`, probes it with
-/// every `probing` tuple, and emits each window-query hit as a candidate
-/// pair — WITHOUT the inline exact test the monolithic INL performs, so
-/// the exec layer can refine behind the operator boundary. Pairs are
-/// emitted as (indexed, probing) when `emit_indexed_first`, else flipped —
-/// the caller passes the flag restoring its own (r, s) orientation. Any
-/// index built here is dropped before returning. Phases
-/// "build index <name>" (when building), "probe index".
-Status InlFilter(BufferPool* pool, const JoinInput& indexed,
-                 const JoinInput& probing, const JoinOptions& opts,
-                 CandidateSorter* sorter, JoinCostBreakdown* breakdown,
-                 const RStarTree* preexisting_index = nullptr,
-                 bool emit_indexed_first = true);
-
-/// Spatial hash filter (LR96): sample R, build bucket extents, partition
-/// both inputs, sweep each bucket pair. Phases "sample <r>",
-/// "partition <r>", "partition <s>", "merge buckets".
-Status SpatialHashFilter(BufferPool* pool, const JoinInput& r,
-                         const JoinInput& s,
-                         const SpatialHashJoinOptions& options,
-                         CandidateSorter* sorter,
-                         JoinCostBreakdown* breakdown);
-
-/// Z-order filter (Ore86/OM88): quadtree-decompose both inputs into sorted
-/// z-interval lists, merge with containment stacks. Phases
-/// "transform <r>", "transform <s>", "merge z-lists".
+/// Phases "transform <r>", "transform <s>", "merge z-lists".
 Status ZOrderFilter(BufferPool* pool, const JoinInput& r, const JoinInput& s,
                     const ZOrderJoinOptions& options, CandidateSorter* sorter,
                     JoinCostBreakdown* breakdown);

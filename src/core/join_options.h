@@ -47,13 +47,13 @@ struct JoinOptions {
   SimdMode simd = SimdMode::kAuto;
   /// 0 = use Equation 1; otherwise forces the partition count.
   uint32_t num_partitions_override = 0;
-  /// How pbsm/parallel_pbsm avoid emitting replicated candidates twice.
+  /// How serial pbsm avoids emitting replicated candidates twice.
   /// kTwoLayer (default) tags tile copies with corner classes and runs
   /// duplicate-free per-tile mini-joins — no merge-dedup stage at all.
-  /// kMerge is the paper's replicate-then-merge-dedup scheme, kept as the
-  /// differential reference; it is also the only mode with the §3.5
-  /// dynamic repartition path (two-layer partitions are processed whole).
-  /// Other join methods ignore this knob.
+  /// kMerge is the paper's replicate-then-merge-dedup scheme; it is also
+  /// the only mode with the §3.5 dynamic repartition path (two-layer
+  /// partitions are processed whole). parallel_pbsm always runs two-layer
+  /// and, like the other join methods, ignores this knob.
   DedupMode dedup_mode = DedupMode::kTwoLayer;
 
   // --- Partition overflow handling (§3.5; extension, on by default) ---
@@ -67,13 +67,13 @@ struct JoinOptions {
   /// Adaptive true-hit filtering (ROADMAP item 4, arXiv 1802.09488):
   /// refine.mode picks exact / adaptive / approximate, refine.grid_order
   /// the cell precision (0 = auto from catalog stats, or planner-chosen
-  /// when the join runs through the service). INL evaluates its predicate
-  /// inline during the index probe and ignores this knob.
+  /// when the join runs through the service). INL always refines exactly
+  /// and ignores this knob.
   RefineOptions refine;
 
   // --- Index construction (INL / R-tree join) ---
   double index_fill_factor = 0.75;
-  /// In-memory node layout of bulk-loaded trees (SoA ribbons / quantized
+  /// In-memory node layout of bulk-loaded trees (AoS pages or quantized SoA
   /// prefilter lanes; see rtree/node_layout.h). kAuto consults the
   /// PBSM_RTREE_LAYOUT environment variable, defaulting to quantized.
   NodeLayout rtree_layout = NodeLayout::kAuto;

@@ -14,13 +14,9 @@ struct ParallelJoinStats {
   uint32_t num_threads = 0;
 
   double partition_wall_seconds = 0.0;  ///< Parallel filter scan + route.
-  /// Concurrent per-partition filter tasks: plane sweeps (kMerge) or
-  /// duplicate-free mini-joins (kTwoLayer).
+  /// Concurrent per-partition duplicate-free mini-joins.
   double sweep_wall_seconds = 0.0;
-  /// Serial candidate merge + dedup. Always 0 under kTwoLayer — the phase
-  /// does not exist there (its disappearance is the point of the scheme).
-  double merge_wall_seconds = 0.0;
-  double refine_wall_seconds = 0.0;     ///< Parallel sharded refinement.
+  double refine_wall_seconds = 0.0;     ///< Parallel bucketed refinement.
   double total_wall_seconds = 0.0;
 
   /// Busy seconds per pool worker, summed over every task it executed
@@ -29,10 +25,10 @@ struct ParallelJoinStats {
   /// Busy seconds of each phase-1 range-scan task (2 x threads tasks:
   /// one per input chunk).
   std::vector<double> partition_task_seconds;
-  /// Busy seconds of each per-partition sweep task (empty pairs included
+  /// Busy seconds of each per-partition filter task (empty pairs included
   /// as 0 so the index matches the partition number).
   std::vector<double> sweep_task_seconds;
-  /// Busy seconds of each refinement shard task.
+  /// Busy seconds of each refinement bucket task.
   std::vector<double> refine_task_seconds;
 
   /// Coefficient of variation of the non-empty per-partition sweep times —

@@ -317,31 +317,4 @@ Status PbsmFilter(BufferPool* pool, const JoinInput& r, const JoinInput& s,
   return Status::OK();
 }
 
-Result<JoinCostBreakdown> PbsmJoin(BufferPool* pool, const JoinInput& r,
-                                   const JoinInput& s, SpatialPredicate pred,
-                                   const JoinOptions& opts,
-                                   const ResultSink& sink) {
-  JoinCostBreakdown breakdown;
-  DiskManager* disk = pool->disk();
-
-  CandidateSorter sorter(pool, opts.memory_budget_bytes, OidPairLess{});
-  PBSM_RETURN_IF_ERROR(PbsmFilter(pool, r, s, opts, &sorter, &breakdown));
-
-  // ---- Refinement. ----
-  {
-    PhaseCost& cost = breakdown.AddPhase("refinement");
-    PhaseTimer timer(disk, &cost, "refinement");
-    const Status refine_status =
-        RefineCandidates(&sorter, r, s, pred, opts, sink, &breakdown);
-    if (!refine_status.ok()) {
-      // Same contract as the merge loop above: materialize the open phase
-      // spans (and the refinement sub-spans' ancestors) so a span-tree
-      // export after a cancellation or I/O abort sees a complete tree.
-      Tracer::Global().FlushOpenSpans();
-      return refine_status;
-    }
-  }
-  return breakdown;
-}
-
 }  // namespace pbsm

@@ -243,26 +243,4 @@ Status RtreeFilter(BufferPool* pool, const JoinInput& r, const JoinInput& s,
   return Status::OK();
 }
 
-Result<JoinCostBreakdown> RtreeJoin(BufferPool* pool, const JoinInput& r,
-                                    const JoinInput& s, SpatialPredicate pred,
-                                    const JoinOptions& opts,
-                                    const ResultSink& sink,
-                                    const RStarTree* r_index,
-                                    const RStarTree* s_index) {
-  JoinCostBreakdown breakdown;
-  DiskManager* disk = pool->disk();
-
-  CandidateSorter sorter(pool, opts.memory_budget_bytes, OidPairLess{});
-  PBSM_RETURN_IF_ERROR(RtreeFilter(pool, r, s, opts, &sorter, &breakdown,
-                                   r_index, s_index));
-
-  {
-    PhaseCost& cost = breakdown.AddPhase("refinement");
-    PhaseTimer timer(disk, &cost, "refinement");
-    PBSM_RETURN_IF_ERROR(RefineCandidates(&sorter, r, s, pred, opts, sink,
-                                          &breakdown));
-  }
-  return breakdown;
-}
-
 }  // namespace pbsm

@@ -199,28 +199,4 @@ Status SpatialHashFilter(BufferPool* pool, const JoinInput& r,
   return Status::OK();
 }
 
-Result<JoinCostBreakdown> SpatialHashJoin(
-    BufferPool* pool, const JoinInput& r, const JoinInput& s,
-    SpatialPredicate pred, const SpatialHashJoinOptions& options,
-    const ResultSink& sink) {
-  JoinCostBreakdown breakdown;
-  DiskManager* disk = pool->disk();
-
-  CandidateSorter sorter(pool, options.join.memory_budget_bytes,
-                         OidPairLess{});
-  PBSM_RETURN_IF_ERROR(
-      SpatialHashFilter(pool, r, s, options, &sorter, &breakdown));
-
-  // ---- Shared refinement. R is never replicated, but one S tuple can
-  // meet the same R tuple through... it cannot: R lives in exactly one
-  // bucket, so pairs are unique; the sort still orders fetches. ----
-  {
-    PhaseCost& cost = breakdown.AddPhase("refinement");
-    PhaseTimer timer(disk, &cost, "refinement");
-    PBSM_RETURN_IF_ERROR(RefineCandidates(&sorter, r, s, pred,
-                                          options.join, sink, &breakdown));
-  }
-  return breakdown;
-}
-
 }  // namespace pbsm

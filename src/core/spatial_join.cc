@@ -52,8 +52,7 @@ void CountJoinFailure(JoinMethod method, const Status& status) {
 }
 
 // The SpatialJoin facade itself lives in src/exec/spatial_join.cc: it
-// builds and drives an operator tree (or dispatches to the monolithic
-// entry points under JoinEngine::kMonolith), which the core library cannot
-// do without depending on the exec layer above it.
+// builds and drives an operator tree, which the core library cannot do
+// without depending on the exec layer above it.
 
 }  // namespace pbsm

@@ -33,23 +33,10 @@ std::string_view JoinMethodName(JoinMethod method);
 /// Inverse of JoinMethodName; nullopt on an unknown identifier.
 std::optional<JoinMethod> ParseJoinMethod(std::string_view name);
 
-/// Which execution engine the facade uses.
-enum class JoinEngine {
-  /// Pull-based operator tree (src/exec): FilterJoinOp -> RefineOp, with
-  /// selection pushdown and per-operator tracing/metrics. The default —
-  /// produces the exact result-pair set of the monolithic path.
-  kOperatorTree,
-  /// The legacy monolithic per-method entry points, kept as the
-  /// differential reference and for callers embedding the join in their
-  /// own pipelines.
-  kMonolith,
-};
-
 /// Window pushdown: only result pairs whose BOTH sides' MBRs intersect
-/// `window` are emitted to the sink. With the operator engine this runs as
-/// a SelectOp above the join; the monolithic engine applies it as a sink
-/// filter. The optional MBR maps skip the tuple fetch + parse per side;
-/// when null the side's MBR is read from its heap.
+/// `window` are emitted to the sink. It runs as a SelectOp above the join.
+/// The optional MBR maps skip the tuple fetch + parse per side; when null
+/// the side's MBR is read from its heap.
 struct WindowFilter {
   Rect window;
   const std::unordered_map<uint64_t, Rect>* r_mbrs = nullptr;
@@ -58,8 +45,8 @@ struct WindowFilter {
 
 /// Bumps "join.cancelled.<method>" for kCancelled statuses and
 /// "join.failures.<method>" for every other non-OK status; no-op on OK.
-/// The facade and the legacy non-facade entry points (SimulateParallelPbsm)
-/// both route their failure accounting through here.
+/// The facade and the non-facade entry point SimulateParallelPbsm both
+/// route their failure accounting through here.
 void CountJoinFailure(JoinMethod method, const Status& status);
 
 /// The complete specification of one spatial join: the algorithm, the exact
@@ -75,11 +62,6 @@ struct JoinSpec {
   JoinMethod method = JoinMethod::kPbsm;
   SpatialPredicate predicate = SpatialPredicate::kIntersects;
 
-  /// Execution engine; kOperatorTree builds and drives a pull-based
-  /// operator tree, kMonolith calls the legacy per-method function.
-  /// Result pairs are identical either way.
-  JoinEngine engine = JoinEngine::kOperatorTree;
-
   /// Optional window pushdown over the result pairs (see WindowFilter).
   /// JoinResult.num_results still counts pre-window refined pairs; only
   /// the sink sees the filtered stream.
@@ -88,11 +70,11 @@ struct JoinSpec {
   /// Knobs shared by every algorithm (memory budget, tiles, thread count
   /// for the parallel executor, ...). Of note: options.dedup_mode selects
   /// the duplicate-free two-layer filter (default) or the paper's
-  /// replicate-then-merge-dedup scheme for the PBSM methods, and
-  /// options.refine holds the adaptive-refinement knobs — refinement is
-  /// shared by every method (INL excepted, which tests inline during the
-  /// probe), so its options live with the other shared knobs rather than
-  /// as a per-method group here.
+  /// replicate-then-merge-dedup scheme for serial PBSM (parallel_pbsm
+  /// always runs two-layer), and options.refine holds the
+  /// adaptive-refinement knobs — refinement is shared by every method (INL
+  /// always refines exactly), so its options live with the other shared
+  /// knobs rather than as a per-method group here.
   JoinOptions options;
 
   /// Receives each (r, s) result pair. Always oriented as the facade's
@@ -127,7 +109,7 @@ struct JoinSpec {
 };
 
 /// What one SpatialJoin() execution produced: the result-pair count, the
-/// per-phase cost breakdown the legacy entry points returned, and the
+/// per-phase cost breakdown, and the
 /// global-metrics delta attributable to this join (counters bumped and
 /// histograms recorded between entry and exit — buffer-pool hits/misses,
 /// refinement true/false positives, repartition depths, ...).
@@ -151,9 +133,9 @@ struct JoinResult {
 /// with a pre-existing index, else the smaller input, and restores the
 /// caller's orientation).
 ///
-/// This is the ONLY public join entry point. The per-algorithm functions
-/// it dispatches to live in core/join_methods_internal.h and are reserved
-/// for src/core implementation files.
+/// This is the ONLY public join entry point. The per-algorithm filter
+/// functions its operator tree wraps live in core/join_methods_internal.h
+/// and are reserved for src/core and src/exec implementation files.
 Result<JoinResult> SpatialJoin(BufferPool* pool, const JoinInput& r,
                                const JoinInput& s, const JoinSpec& spec);
 

@@ -210,27 +210,4 @@ Status ZOrderFilter(BufferPool* pool, const JoinInput& r, const JoinInput& s,
   return Status::OK();
 }
 
-Result<JoinCostBreakdown> ZOrderJoin(BufferPool* pool, const JoinInput& r,
-                                     const JoinInput& s,
-                                     SpatialPredicate pred,
-                                     const ZOrderJoinOptions& options,
-                                     const ResultSink& sink) {
-  JoinCostBreakdown breakdown;
-  DiskManager* disk = pool->disk();
-
-  CandidateSorter candidates(pool, options.join.memory_budget_bytes,
-                             OidPairLess{});
-  PBSM_RETURN_IF_ERROR(
-      ZOrderFilter(pool, r, s, options, &candidates, &breakdown));
-
-  // ---- Shared refinement. ----
-  {
-    PhaseCost& cost = breakdown.AddPhase("refinement");
-    PhaseTimer timer(disk, &cost, "refinement");
-    PBSM_RETURN_IF_ERROR(RefineCandidates(&candidates, r, s, pred,
-                                          options.join, sink, &breakdown));
-  }
-  return breakdown;
-}
-
 }  // namespace pbsm

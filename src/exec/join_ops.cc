@@ -38,8 +38,8 @@ Status FilterJoinOp::RunFilter() {
       break;
 
     case JoinMethod::kInl: {
-      // Same side selection as the facade: prefer a pre-existing index,
-      // else index the smaller input; emit_indexed_first restores the
+      // Prefer a side with a pre-existing index, else index the smaller
+      // input (the paper's choice); emit_indexed_first restores the
       // caller's (r, s) orientation.
       const bool index_s = spec_.s_index != nullptr ||
                            (spec_.r_index == nullptr &&

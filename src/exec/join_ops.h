@@ -29,7 +29,7 @@ namespace pbsm {
 /// streams the sorted pairs with inline duplicate elimination, so
 /// downstream operators always see each candidate exactly once, in
 /// (OID_R, OID_S) order. Filter phase costs land in the shared breakdown
-/// under the same phase names the monolithic entry points use.
+/// under the phase names the XxxFilter functions record.
 ///
 /// Handles kPbsm, kInl, kRtree, kSpatialHash, kZOrder; kParallelPbsm goes
 /// through ParallelJoinOp instead.
@@ -66,8 +66,7 @@ class FilterJoinOp : public Operator {
 class RefineOp : public Operator {
  public:
   /// With `force_exact` the adaptive knobs are overridden to kExact — the
-  /// INL plan uses it to match the monolithic INL, which evaluates the
-  /// exact predicate inline during the probe and ignores opts.refine.
+  /// INL plan uses it, since INL ignores opts.refine.
   RefineOp(std::unique_ptr<Operator> child, JoinInput r, JoinInput s,
            SpatialPredicate pred, const JoinOptions& opts,
            bool force_exact = false);

@@ -40,7 +40,7 @@ Result<bool> Operator::Next(RowBatch* out) {
   if (exhausted_) return false;
   // Cancellation boundary: one poll per batch at every tree depth. Open
   // spans are materialized so a span-tree export after the abort sees a
-  // complete tree (the same contract as the monolithic join phases).
+  // complete tree (the same contract as the filter phases).
   if (ctx_->cancel != nullptr && ctx_->cancel->is_cancelled()) {
     Tracer::Global().FlushOpenSpans();
     return ctx_->cancel->CancellationStatus();

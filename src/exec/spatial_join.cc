@@ -1,126 +1,20 @@
 // The SpatialJoin facade (declared in core/spatial_join.h). It lives in
-// the exec library because its default engine builds and drives an
-// operator tree; the kMonolith engine dispatches to the legacy per-method
-// entry points and is kept as the differential reference. Either engine
-// produces the same result-pair set.
+// the exec library because every join runs as an operator tree.
 
 #include <string>
 #include <utility>
 
-#include "common/logging.h"
 #include "common/stopwatch.h"
 #include "common/trace.h"
-#include "core/join_methods_internal.h"
 #include "core/spatial_join.h"
 #include "exec/plan_builder.h"
-#include "storage/tuple.h"
 
 namespace pbsm {
 
 namespace {
 
-/// Dispatches to the legacy monolithic entry point for `spec.method`.
-Result<JoinCostBreakdown> Dispatch(BufferPool* pool, const JoinInput& r,
-                                   const JoinInput& s, const JoinSpec& spec,
-                                   const ResultSink& sink) {
-  switch (spec.method) {
-    case JoinMethod::kPbsm:
-      return PbsmJoin(pool, r, s, spec.predicate, spec.options, sink);
-
-    case JoinMethod::kParallelPbsm:
-      return ParallelPbsmJoin(pool, r, s, spec.predicate, spec.options,
-                              sink, spec.parallel_stats);
-
-    case JoinMethod::kInl: {
-      // INL indexes one side and probes with the other. Prefer a side with
-      // a pre-existing index; otherwise index the smaller input (the
-      // paper's choice). The facade's contract is pred(r, s) and sink
-      // pairs oriented (r, s), so when s is the indexed side we flip the
-      // predicate orientation flag and swap the emitted pair (INL emits
-      // (indexed, probing)).
-      const bool index_s =
-          spec.s_index != nullptr ||
-          (spec.r_index == nullptr &&
-           s.info.cardinality < r.info.cardinality);
-      const JoinInput& indexed = index_s ? s : r;
-      const JoinInput& probing = index_s ? r : s;
-      const RStarTree* index = index_s ? spec.s_index : spec.r_index;
-      ResultSink oriented = sink;
-      if (index_s && sink) {
-        const ResultSink& user = sink;
-        oriented = [&user](Oid a, Oid b) { user(b, a); };
-      }
-      return IndexedNestedLoopsJoin(pool, indexed, probing, spec.predicate,
-                                    spec.options, oriented, index,
-                                    /*indexed_is_left=*/!index_s);
-    }
-
-    case JoinMethod::kRtree:
-      return RtreeJoin(pool, r, s, spec.predicate, spec.options, sink,
-                       spec.r_index, spec.s_index);
-
-    case JoinMethod::kSpatialHash: {
-      SpatialHashJoinOptions options;
-      options.num_buckets = spec.hash.num_buckets;
-      options.sample_fraction = spec.hash.sample_fraction;
-      options.join = spec.options;
-      return SpatialHashJoin(pool, r, s, spec.predicate, options, sink);
-    }
-
-    case JoinMethod::kZOrder: {
-      ZOrderJoinOptions options;
-      options.max_level = spec.zorder.max_level;
-      options.max_cells_per_object = spec.zorder.max_cells_per_object;
-      options.join = spec.options;
-      return ZOrderJoin(pool, r, s, spec.predicate, options, sink);
-    }
-  }
-  PBSM_CHECK(false) << "unknown JoinMethod "
-                    << static_cast<int>(spec.method);
-}
-
-/// The monolithic engine's window pushdown: a sink filter with the same
-/// per-side MBR resolution SelectOp uses (map lookup when provided, else
-/// tuple fetch + parse). Unresolvable sides (map miss, fetch or parse
-/// failure) drop the pair, matching SelectOp's map-miss semantics.
-class WindowSink {
- public:
-  WindowSink(const WindowFilter& window, const JoinInput& r,
-             const JoinInput& s, const ResultSink& user)
-      : window_(window), r_(r), s_(s), user_(user) {}
-
-  void operator()(Oid r_oid, Oid s_oid) {
-    if (!Passes(r_oid.Encode(), window_.r_mbrs, r_.heap)) return;
-    if (!Passes(s_oid.Encode(), window_.s_mbrs, s_.heap)) return;
-    user_(r_oid, s_oid);
-  }
-
- private:
-  bool Passes(uint64_t oid, const std::unordered_map<uint64_t, Rect>* mbrs,
-              const HeapFile* heap) {
-    Rect mbr;
-    if (mbrs != nullptr) {
-      const auto it = mbrs->find(oid);
-      if (it == mbrs->end()) return false;
-      mbr = it->second;
-    } else {
-      if (!heap->Fetch(Oid::Decode(oid), &record_).ok()) return false;
-      auto tuple = Tuple::Parse(record_.data(), record_.size());
-      if (!tuple.ok()) return false;
-      mbr = tuple.value().geometry.Mbr();
-    }
-    return mbr.Intersects(window_.window);
-  }
-
-  const WindowFilter& window_;
-  const JoinInput& r_;
-  const JoinInput& s_;
-  const ResultSink& user_;
-  std::string record_;
-};
-
-/// The default engine: build the pairwise operator tree and drive it,
-/// forwarding (row[0], row[1]) to the user sink.
+/// Builds the pairwise operator tree and drives it, forwarding
+/// (row[0], row[1]) to the user sink.
 Result<JoinCostBreakdown> RunOperatorTree(BufferPool* pool,
                                           const JoinInput& r,
                                           const JoinInput& s,
@@ -140,17 +34,6 @@ Result<JoinCostBreakdown> RunOperatorTree(BufferPool* pool,
   }
   PBSM_RETURN_IF_ERROR(DriveTree(tree.get(), &ctx, sink));
   return breakdown;
-}
-
-Result<JoinCostBreakdown> RunMonolith(BufferPool* pool, const JoinInput& r,
-                                      const JoinInput& s,
-                                      const JoinSpec& spec) {
-  if (spec.window.has_value() && spec.sink) {
-    WindowSink windowed(*spec.window, r, s, spec.sink);
-    return Dispatch(pool, r, s, spec,
-                    [&windowed](Oid a, Oid b) { windowed(a, b); });
-  }
-  return Dispatch(pool, r, s, spec, spec.sink);
 }
 
 }  // namespace
@@ -177,10 +60,7 @@ Result<JoinResult> SpatialJoin(BufferPool* pool, const JoinInput& r,
           ->Add();
       return spec.options.cancel->CancellationStatus();
     }
-    Result<JoinCostBreakdown> dispatched =
-        spec.engine == JoinEngine::kOperatorTree
-            ? RunOperatorTree(pool, r, s, spec)
-            : RunMonolith(pool, r, s, spec);
+    Result<JoinCostBreakdown> dispatched = RunOperatorTree(pool, r, s, spec);
     if (!dispatched.ok()) {
       // Cancellations are not failures: they are the service tearing down
       // work on purpose, and alerting on them as errors would be noise.

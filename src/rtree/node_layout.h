@@ -12,29 +12,29 @@ namespace pbsm {
 ///    page through the BufferPool and runs the entry-array kernel (the
 ///    pre-ribbon behaviour; also what Insert/Delete-mutated trees fall
 ///    back to).
-///  * kSoa — per-node "ribbons": xlo/xhi/ylo/yhi double lanes in contiguous
-///    64-byte-aligned columns, built once at bulk load and owned by the
-///    tree, so node scans skip page parsing entirely.
-///  * kSoaQuantized — ribbons plus uint16 lanes quantized to the node MBR
-///    with expand-outward rounding: a conservative 16-lane prefilter whose
+///  * kSoaQuantized — per-node "ribbons" built once at bulk load and owned
+///    by the tree, so node scans skip page parsing entirely:
+///    xlo/xhi/ylo/yhi double lanes in contiguous 64-byte-aligned columns
+///    plus uint16 lanes quantized to the node MBR with expand-outward
+///    rounding. The uint16 lanes are a conservative 16-lane prefilter whose
 ///    survivors are re-verified against the double lanes, so results stay
 ///    exactly identical to kAos.
 ///  * kAuto — consult the PBSM_RTREE_LAYOUT environment variable
-///    (`auto|aos|soa|quantized`), defaulting to kSoaQuantized.
-enum class NodeLayout { kAuto, kAos, kSoa, kSoaQuantized };
+///    (`auto|aos|quantized`), defaulting to kSoaQuantized.
+enum class NodeLayout { kAuto, kAos, kSoaQuantized };
 
-/// "aos" / "soa" / "quantized" — used by benches, baselines and logs.
+/// "aos" / "quantized" — used by benches, baselines and logs.
 std::string_view NodeLayoutName(NodeLayout layout);
 
 /// Resolves kAuto through the PBSM_RTREE_LAYOUT environment variable
-/// (`auto|aos|soa|quantized`; unset or unrecognized -> kSoaQuantized).
+/// (`auto|aos|quantized`; unset or unrecognized -> kSoaQuantized).
 /// Non-auto requests pass through unchanged. Read per call so operators and
 /// tests can flip the knob without rebuilding resolution caches (same
 /// contract as ResolveKernel / PBSM_SIMD).
 NodeLayout ResolveNodeLayout(NodeLayout requested);
 
 /// Cache-key tag of a resolved layout, versioned by the ribbon format
-/// ("aos" / "soa.v1" / "q16.v1"). The IndexCache keys entries on this so a
+/// ("aos" / "q16.v1"). The IndexCache keys entries on this so a
 /// tree built before a layout-knob change — or before a ribbon format
 /// change across binary versions — is never served where a different
 /// ribbon is expected. Bump the version suffix whenever the ribbon

@@ -62,8 +62,6 @@ std::string_view NodeLayoutName(NodeLayout layout) {
       return "auto";
     case NodeLayout::kAos:
       return "aos";
-    case NodeLayout::kSoa:
-      return "soa";
     case NodeLayout::kSoaQuantized:
       return "quantized";
   }
@@ -77,7 +75,6 @@ NodeLayout ResolveNodeLayout(NodeLayout requested) {
   const char* env = std::getenv("PBSM_RTREE_LAYOUT");
   if (env != nullptr) {
     if (std::strcmp(env, "aos") == 0) return NodeLayout::kAos;
-    if (std::strcmp(env, "soa") == 0) return NodeLayout::kSoa;
     if (std::strcmp(env, "quantized") == 0) return NodeLayout::kSoaQuantized;
     // "auto" (or anything else) keeps the default.
   }
@@ -86,8 +83,6 @@ NodeLayout ResolveNodeLayout(NodeLayout requested) {
 
 std::string_view NodeLayoutCacheTag(NodeLayout resolved) {
   switch (resolved) {
-    case NodeLayout::kSoa:
-      return "soa.v1";
     case NodeLayout::kSoaQuantized:
       return "q16.v1";
     case NodeLayout::kAos:
@@ -120,7 +115,6 @@ NodeRibbon& NodeRibbon::operator=(NodeRibbon&& other) noexcept {
   count_ = std::exchange(other.count_, 0);
   bytes_ = std::exchange(other.bytes_, 0);
   level_ = std::exchange(other.level_, 0);
-  quantized_ = std::exchange(other.quantized_, false);
   built_ = std::exchange(other.built_, false);
   mbr_ = std::exchange(other.mbr_, Rect{});
   scale_x_ = std::exchange(other.scale_x_, 0.0);
@@ -141,18 +135,16 @@ void NodeRibbon::Free() {
   built_ = false;
 }
 
-void NodeRibbon::Build(const RTreeEntry* entries, size_t n, uint16_t level,
-                       bool quantized) {
+void NodeRibbon::Build(const RTreeEntry* entries, size_t n, uint16_t level) {
   Free();
   count_ = n;
   level_ = level;
-  quantized_ = quantized;
   built_ = true;
   mbr_ = Rect{};
   for (size_t i = 0; i < n; ++i) mbr_.Expand(entries[i].mbr);
 
   const size_t dcap = DoubleCap(n);
-  const size_t qcap = quantized ? Q16Cap(n) : 0;
+  const size_t qcap = Q16Cap(n);
   bytes_ = dcap * (4 * sizeof(double) + sizeof(uint64_t)) +
            qcap * 4 * sizeof(uint16_t);
   void* block = ::operator new[](bytes_, std::align_val_t{64});
@@ -162,12 +154,10 @@ void NodeRibbon::Build(const RTreeEntry* entries, size_t n, uint16_t level,
   ylo_ = xhi_ + dcap;
   yhi_ = ylo_ + dcap;
   handle_ = reinterpret_cast<uint64_t*>(yhi_ + dcap);
-  if (quantized) {
-    qxlo_ = reinterpret_cast<uint16_t*>(handle_ + dcap);
-    qxhi_ = qxlo_ + qcap;
-    qylo_ = qxhi_ + qcap;
-    qyhi_ = qylo_ + qcap;
-  }
+  qxlo_ = reinterpret_cast<uint16_t*>(handle_ + dcap);
+  qxhi_ = qxlo_ + qcap;
+  qylo_ = qxhi_ + qcap;
+  qyhi_ = qylo_ + qcap;
 
   scale_x_ = mbr_.width() > 0.0 ? 65535.0 / mbr_.width() : 0.0;
   scale_y_ = mbr_.height() > 0.0 ? 65535.0 / mbr_.height() : 0.0;
@@ -179,12 +169,10 @@ void NodeRibbon::Build(const RTreeEntry* entries, size_t n, uint16_t level,
     ylo_[i] = r.ylo;
     yhi_[i] = r.yhi;
     handle_[i] = entries[i].handle;
-    if (quantized) {
-      qxlo_[i] = QLo(r.xlo, mbr_.xlo, scale_x_);
-      qxhi_[i] = QHi(r.xhi, mbr_.xlo, scale_x_);
-      qylo_[i] = QLo(r.ylo, mbr_.ylo, scale_y_);
-      qyhi_[i] = QHi(r.yhi, mbr_.ylo, scale_y_);
-    }
+    qxlo_[i] = QLo(r.xlo, mbr_.xlo, scale_x_);
+    qxhi_[i] = QHi(r.xhi, mbr_.xlo, scale_x_);
+    qylo_[i] = QLo(r.ylo, mbr_.ylo, scale_y_);
+    qyhi_[i] = QHi(r.yhi, mbr_.ylo, scale_y_);
   }
   constexpr double kInf = std::numeric_limits<double>::infinity();
   for (size_t i = n; i < dcap; ++i) {
@@ -194,15 +182,13 @@ void NodeRibbon::Build(const RTreeEntry* entries, size_t n, uint16_t level,
     yhi_[i] = -kInf;
     handle_[i] = 0;
   }
-  if (quantized) {
-    // Tail lanes are masked by size in the q16 kernels, but zero them
-    // anyway so the block never holds uninitialized bytes (MSan, dumps).
-    for (size_t i = n; i < qcap; ++i) {
-      qxlo_[i] = 0;
-      qxhi_[i] = 0;
-      qylo_[i] = 0;
-      qyhi_[i] = 0;
-    }
+  // Tail lanes are masked by size in the q16 kernels, but zero them anyway
+  // so the block never holds uninitialized bytes (MSan, dumps).
+  for (size_t i = n; i < qcap; ++i) {
+    qxlo_[i] = 0;
+    qxhi_[i] = 0;
+    qylo_[i] = 0;
+    qyhi_[i] = 0;
   }
 }
 
@@ -229,10 +215,6 @@ size_t ScanRibbonWindow(const NodeRibbon& ribbon, const Rect& window,
   stats->nodes_scanned += 1;
   stats->entries_tested += ribbon.count();
   if (kind == KernelKind::kAvx2) stats->simd_node_scans += 1;
-  if (!ribbon.quantized()) {
-    return ops.scan_window(ribbon.soa(), window.xlo, window.ylo, window.xhi,
-                           window.yhi, out_idx, &stats->simd_lanes);
-  }
   uint16_t wxlo, wylo, wxhi, wyhi;
   ribbon.QuantizeWindow(window, &wxlo, &wylo, &wxhi, &wyhi);
   const size_t cand = ops.scan_window_q16(ribbon.q16(), wxlo, wylo, wxhi,

@@ -1,17 +1,17 @@
 #ifndef PBSM_RTREE_NODE_RIBBON_H_
 #define PBSM_RTREE_NODE_RIBBON_H_
 
-// In-memory SoA node layout for the bulk-loaded R*-tree ("ribbons",
-// following the SIMD-ified R-tree of arXiv 2309.16913).
+// In-memory quantized SoA node layout for the bulk-loaded R*-tree
+// ("ribbons", following the SIMD-ified R-tree of arXiv 2309.16913).
 //
 // A ribbon is one node's entries transposed into contiguous coordinate
 // lanes, carved from a single 64-byte-aligned allocation:
 //
-//   xlo[] xhi[] ylo[] yhi[]   double lanes, sentinel-padded like SoaRects,
-//                             so the existing scan_window kernels apply;
+//   xlo[] xhi[] ylo[] yhi[]   double lanes (sentinel-padded like SoaRects)
+//                             that re-verify the prefilter's survivors;
 //   handle[]                  child page numbers / leaf OIDs;
-//   qxlo[] qxhi[] qylo[] qyhi[]  (quantized layout only) uint16 lanes on a
-//                             65536-cell grid over the node MBR.
+//   qxlo[] qxhi[] qylo[] qyhi[]  uint16 lanes on a 65536-cell grid over
+//                             the node MBR.
 //
 // Quantization is conservative by construction: entry lows are floored and
 // highs are ceiled onto the grid, and a query window is rounded outward
@@ -21,7 +21,7 @@
 // and the quantized intersection test can only over-approximate — it never
 // rejects an entry the exact test accepts. ScanRibbonWindow re-verifies the
 // q16 survivors against the double lanes, so its hit set is *exactly* the
-// exact test's hit set in every layout. A degenerate node MBR (zero width
+// exact test's hit set, as with the AoS page scan. A degenerate node MBR (zero width
 // or height, down to a point) gets scale 0 on the flat axes: every entry
 // and window collapses to cell 0 there, which passes — still conservative.
 //
@@ -42,8 +42,8 @@ namespace pbsm {
 
 struct RTreeEntry;
 
-/// One node's SoA (and optionally quantized) entry lanes. Movable so trees
-/// can keep them in a page-indexed vector; never copied.
+/// One node's SoA double and quantized entry lanes. Movable so trees can
+/// keep them in a page-indexed vector; never copied.
 class NodeRibbon {
  public:
   NodeRibbon() = default;
@@ -53,23 +53,21 @@ class NodeRibbon {
   NodeRibbon(const NodeRibbon&) = delete;
   NodeRibbon& operator=(const NodeRibbon&) = delete;
 
-  /// (Re)builds the lanes from a node's entries. `quantized` adds the
-  /// uint16 prefilter lanes over the entries' bounding MBR.
-  void Build(const RTreeEntry* entries, size_t n, uint16_t level,
-             bool quantized);
+  /// (Re)builds the lanes from a node's entries; the uint16 prefilter
+  /// lanes are quantized over the entries' bounding MBR.
+  void Build(const RTreeEntry* entries, size_t n, uint16_t level);
 
   /// True when Build has run (count may still be 0 for an empty root).
   bool built() const { return built_; }
   size_t count() const { return count_; }
   uint16_t level() const { return level_; }
-  bool quantized() const { return quantized_; }
   /// The node MBR (bounding box of all entries; the quantization frame).
   const Rect& mbr() const { return mbr_; }
   const uint64_t* handles() const { return handle_; }
 
-  /// Double lanes as the scan_window kernels expect them (oid = handles).
+  /// Double lanes in SoaRects form (oid = handles).
   SoaView soa() const { return SoaView{xlo_, xhi_, ylo_, yhi_, handle_, count_}; }
-  /// Quantized lanes; only meaningful when quantized().
+  /// Quantized prefilter lanes.
   SoaQ16View q16() const { return SoaQ16View{qxlo_, qxhi_, qylo_, qyhi_, count_}; }
 
   /// Rounds a query window outward onto this node's grid (clamped to the
@@ -97,7 +95,6 @@ class NodeRibbon {
   size_t count_ = 0;
   size_t bytes_ = 0;
   uint16_t level_ = 0;
-  bool quantized_ = false;
   bool built_ = false;
   Rect mbr_;
   /// Grid cells per coordinate unit (0 on a degenerate axis).
@@ -118,9 +115,9 @@ struct RibbonScanStats {
 
 /// Scans one ribbon against a window with the resolved kernel and writes
 /// the indices of intersecting entries to `out_idx` (room for
-/// ribbon.count() entries required). Quantized ribbons run the uint16
-/// prefilter and re-verify survivors against the double lanes, so the hit
-/// set is exact in every layout. Returns the hit count.
+/// ribbon.count() entries required): the uint16 prefilter, then an exact
+/// re-verification of its survivors against the double lanes. Returns the
+/// hit count.
 size_t ScanRibbonWindow(const NodeRibbon& ribbon, const Rect& window,
                         KernelKind kind, uint32_t* out_idx,
                         RibbonScanStats* stats);

@@ -539,7 +539,6 @@ Status RStarTree::BuildRibbons(NodeLayout layout) {
   InvalidateRibbons();
   const NodeLayout resolved = ResolveNodeLayout(layout);
   if (resolved == NodeLayout::kAos) return Status::OK();
-  const bool quantized = (resolved == NodeLayout::kSoaQuantized);
   // Single-threaded tree walk at build time, before the tree is shared;
   // afterwards the ribbons are immutable. Pages are allocated contiguously
   // from 0, so indexing the vector by page number stays dense.
@@ -550,7 +549,7 @@ Status RStarTree::BuildRibbons(NodeLayout layout) {
     PBSM_ASSIGN_OR_RETURN(const Node node, LoadNode(page_no));
     if (page_no >= ribbons_.size()) ribbons_.resize(page_no + 1);
     ribbons_[page_no].Build(node.entries.data(), node.entries.size(),
-                            node.level, quantized);
+                            node.level);
     if (node.level > 0) {
       for (const RTreeEntry& e : node.entries) {
         stack.push_back(static_cast<uint32_t>(e.handle));

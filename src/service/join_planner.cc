@@ -104,9 +104,9 @@ PlanChoice PlanJoin(const PlannerSide& r, const PlannerSide& s,
   };
 
   const double pbsm_filter = c.pbsm_per_tuple * n_total;
-  // The candidate merge-dedup only exists under DedupMode::kMerge; the
-  // default two-layer filter emits each candidate exactly once and has no
-  // such phase.
+  // The candidate merge-dedup only exists in serial PBSM under
+  // DedupMode::kMerge; the default two-layer filter emits each candidate
+  // exactly once and has no such phase.
   const double merge_dedup = c.dedup_mode == DedupMode::kMerge
                                  ? c.merge_dedup_per_candidate * candidates
                                  : 0.0;
@@ -114,12 +114,11 @@ PlanChoice PlanJoin(const PlannerSide& r, const PlannerSide& s,
 
   // Parallel PBSM: near-linear filter+refine speedup minus a per-tuple
   // coordination tax. At threads == 1 this is strictly pbsm + overhead, so
-  // the serial executor wins on a single-core host. The merge-dedup term
-  // stays outside the speedup divisor — it is a serial phase in the
-  // executor too.
+  // the serial executor wins on a single-core host. The executor always
+  // runs two-layer, so no merge-dedup term applies.
   const double speedup = 1.0 + c.parallel_scaling * (threads - 1);
   add(JoinMethod::kParallelPbsm,
-      (pbsm_filter + refine) / speedup + merge_dedup +
+      (pbsm_filter + refine) / speedup +
           c.parallel_overhead_per_tuple * n_total);
 
   // Index scans run ~2x faster on the in-memory SoA ribbons (the bulk-load

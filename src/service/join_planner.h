@@ -95,12 +95,10 @@ struct PlannerCosts {
   double zorder_candidate_inflation = 4.0;  ///< Z-cell false-positive factor.
 
   /// Merge-dedup of one candidate pair — the phase the two-layer filter
-  /// deletes. Charged to the PBSM methods only under DedupMode::kMerge,
-  /// and *not* divided by the parallel speedup: the executor's k-way merge
-  /// is a serial phase, which is exactly why eliminating it matters more
-  /// as threads grow (Amdahl).
+  /// deletes. Charged to serial PBSM only, and only under
+  /// DedupMode::kMerge: the parallel executor always runs two-layer.
   double merge_dedup_per_candidate = 1.1e-6;
-  /// Dedup scheme the PBSM executors will run with; mirrors
+  /// Dedup scheme serial PBSM will run with; mirrors
   /// JoinOptions::dedup_mode (same default).
   DedupMode dedup_mode = DedupMode::kTwoLayer;
 

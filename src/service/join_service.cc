@@ -642,9 +642,8 @@ Result<JoinResponse> JoinService::ExecuteJoin(const QueryRef& query,
     }
   }
 
-  // 3. Window filter: pushed into the engine (a SelectOp above the join
-  // under the operator engine; a sink filter under the monolith), backed by
-  // the MBR tables built at registration. The sink wrapper only counts —
+  // 3. Window filter: pushed into the engine as a SelectOp above the join,
+  // backed by the MBR tables built at registration. The sink wrapper only counts —
   // it already sees the post-window stream.
   uint64_t window_results = 0;
   if (request.window.has_value()) {

@@ -139,8 +139,8 @@ TEST_F(JoinDifferentialTest, AllMethodsMatchBruteForceOracleAcrossSweep) {
 
 // The node-layout axis for the index-based methods: INL probes and the
 // BKS93 tree join must be oracle-exact under every in-memory node layout
-// (AoS page scans, SoA double ribbons, quantized uint16 ribbons) crossed
-// with both filter kernels. This is the end-to-end check that the
+// (AoS page scans, quantized uint16 ribbons) crossed with both filter
+// kernels. This is the end-to-end check that the
 // quantized prefilter's re-verification step loses nothing and invents
 // nothing — through real trees, real candidates, real refinement.
 TEST_F(JoinDifferentialTest, IndexMethodsMatchOracleAcrossNodeLayouts) {
@@ -169,7 +169,7 @@ TEST_F(JoinDifferentialTest, IndexMethodsMatchOracleAcrossNodeLayouts) {
         LoadRelation(env.pool(), nullptr, "hydro", hydro, c.clustered));
 
     for (const NodeLayout layout :
-         {NodeLayout::kAos, NodeLayout::kSoa, NodeLayout::kSoaQuantized}) {
+         {NodeLayout::kAos, NodeLayout::kSoaQuantized}) {
       SCOPED_TRACE(std::string("layout=") +
                    std::string(NodeLayoutName(layout)));
       for (const SimdMode simd : {SimdMode::kScalar, SimdMode::kAvx2}) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 #include <utility>
 #include <vector>
@@ -153,10 +154,16 @@ TEST_F(JoinEquivalenceTest, PbsmInvariantUnderKnobs) {
 
   // Sweep algorithm, mapping scheme, tile count, partition count, tiny
   // memory budgets (forcing §3.5 overflow handling), and the adaptive
-  // refinement engine must not change the result set.
+  // refinement engine must not change the result set. The §3.5 paths exist
+  // only in the paper's merge-dedup filter (two-layer partitions are
+  // processed whole), so the tiny-budget variants pin kMerge and state
+  // whether repartitioning must fire.
   struct Variant {
     const char* label;
     JoinOptions opts;
+    /// Whether §3.5 must repartition some partition pair; unchecked if
+    /// unset.
+    std::optional<bool> repartitions = std::nullopt;
   };
   std::vector<Variant> variants;
   {
@@ -181,14 +188,16 @@ TEST_F(JoinEquivalenceTest, PbsmInvariantUnderKnobs) {
   }
   {
     JoinOptions o = base;
+    o.dedup_mode = DedupMode::kMerge;
     o.memory_budget_bytes = 16 << 10;  // Forces repartitioning.
-    variants.push_back({"tiny budget with repartition", o});
+    variants.push_back({"tiny budget with repartition", o, true});
   }
   {
     JoinOptions o = base;
+    o.dedup_mode = DedupMode::kMerge;
     o.memory_budget_bytes = 16 << 10;
     o.dynamic_repartition = false;  // Forces the chunked fallback.
-    variants.push_back({"tiny budget chunked fallback", o});
+    variants.push_back({"tiny budget chunked fallback", o, false});
   }
   {
     JoinOptions o = base;
@@ -210,6 +219,9 @@ TEST_F(JoinEquivalenceTest, PbsmInvariantUnderKnobs) {
                          v.opts, Collect(&got))));
     EXPECT_EQ(got, reference) << v.label;
     EXPECT_EQ(cost.results, reference.size()) << v.label;
+    if (v.repartitions.has_value()) {
+      EXPECT_EQ(cost.repartitioned_pairs > 0, *v.repartitions) << v.label;
+    }
   }
 }
 
@@ -407,9 +419,8 @@ TEST(JoinPreexistingIndexTest, IndexVariantsMatch) {
       const JoinCostBreakdown inl_cost,
       RunJoin(env.pool(), roads_rel.AsInput(), rail_rel.AsInput(),
               inl_spec));
-  // Probe + refinement: the operator engine splits INL into a candidate
-  // producer and the shared refinement operator (the monolithic INL folded
-  // the exact test into the probe phase).
+  // Probe + refinement: INL runs as a candidate producer feeding the
+  // shared refinement operator.
   ASSERT_EQ(inl_cost.phases.size(), 2u);
   EXPECT_EQ(inl_cost.phases[0].first, "probe index");
   EXPECT_EQ(inl_cost.phases[1].first, "refinement");

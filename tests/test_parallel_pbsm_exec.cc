@@ -160,24 +160,6 @@ TEST_F(ParallelPbsmExecTest, MatchesSerialAcrossThreadCountsAndSweeps) {
   }
 }
 
-TEST_F(ParallelPbsmExecTest, TinyBudgetTriggersRepartitioning) {
-  const PairSet expected =
-      SerialReference(SweepAlgorithm::kForwardSweep, 1 << 20);
-  JoinOptions opts;
-  // One partition holding everything + a budget far below its key-pointer
-  // footprint forces the in-memory §3.5 repartition path, which only the
-  // merge-dedup mode has (two-layer partitions are processed whole).
-  opts.dedup_mode = DedupMode::kMerge;
-  opts.memory_budget_bytes = 16 << 10;
-  opts.num_partitions_override = 1;
-  opts.num_threads = 4;
-  PairSet got;
-  auto result = RunParallel(opts, &got);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_GT(result->breakdown.repartitioned_pairs, 0u);
-  EXPECT_EQ(got, expected);
-}
-
 TEST_F(ParallelPbsmExecTest, DefaultThreadCountUsesHardwareConcurrency) {
   JoinOptions opts;
   opts.memory_budget_bytes = 1 << 20;
@@ -215,25 +197,58 @@ TEST_F(ParallelPbsmExecTest, CostBreakdownHasAllPhases) {
   EXPECT_EQ(cost.phases[2].first, "refinement");
   EXPECT_GT(cost.candidates, 0u);
   EXPECT_EQ(cost.duplicates_removed, 0u);
-  EXPECT_EQ(stats.merge_wall_seconds, 0.0);
   EXPECT_GT(cost.Total().cpu_seconds, 0.0);
 }
 
-TEST_F(ParallelPbsmExecTest, MergeModeCostBreakdownHasMergePhase) {
+TEST_F(ParallelPbsmExecTest, MergeDedupModeRunsTheSamePhases) {
+  // The executor always runs two-layer: asking for the paper's merge dedup
+  // changes nothing about its phases.
   JoinOptions opts;
-  opts.dedup_mode = DedupMode::kMerge;
   opts.memory_budget_bytes = 1 << 20;
   opts.num_threads = 2;
-  auto result = RunParallel(opts);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  const JoinCostBreakdown& cost = result->breakdown;
-  ASSERT_EQ(cost.phases.size(), 4u);
-  EXPECT_EQ(cost.phases[0].first, "partition inputs");
-  EXPECT_EQ(cost.phases[1].first, "sweep partitions");
-  EXPECT_EQ(cost.phases[2].first, "merge candidates");
-  EXPECT_EQ(cost.phases[3].first, "refinement");
-  EXPECT_GT(cost.candidates, 0u);
-  EXPECT_GT(cost.Total().cpu_seconds, 0.0);
+  auto two_layer = RunParallel(opts);
+  ASSERT_TRUE(two_layer.ok()) << two_layer.status().ToString();
+  opts.dedup_mode = DedupMode::kMerge;
+  auto merge = RunParallel(opts);
+  ASSERT_TRUE(merge.ok()) << merge.status().ToString();
+  ASSERT_EQ(merge->breakdown.phases.size(), 3u);
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(merge->breakdown.phases[i].first,
+              two_layer->breakdown.phases[i].first);
+  }
+  EXPECT_EQ(merge->breakdown.candidates, two_layer->breakdown.candidates);
+  EXPECT_EQ(merge->breakdown.duplicates_removed, 0u);
+}
+
+TEST_F(ParallelPbsmExecTest, EmitsExactlyTheCandidatesMergeDedupKeeps) {
+  // Duplicate-freedom: on the same partition grid, serial PBSM under the
+  // paper's replicate-then-dedup scheme sweeps replicated candidates and
+  // removes them; the parallel two-layer filter emits only the survivors.
+  JoinOptions opts;
+  opts.memory_budget_bytes = 1 << 20;
+  opts.num_partitions_override = 7;
+  opts.dedup_mode = DedupMode::kMerge;
+  JoinSpec spec;
+  spec.method = JoinMethod::kPbsm;
+  spec.options = opts;
+  PairSet serial_pairs;
+  spec.sink = [&serial_pairs](Oid r, Oid s) {
+    serial_pairs.emplace(r.Encode(), s.Encode());
+  };
+  auto serial = SpatialJoin(env_->pool(), roads_->AsInput(),
+                            hydro_->AsInput(), spec);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  const JoinCostBreakdown& merge = serial->breakdown;
+  ASSERT_GT(merge.duplicates_removed, 0u);
+
+  opts.num_threads = 4;
+  PairSet parallel_pairs;
+  auto parallel = RunParallel(opts, &parallel_pairs);
+  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+  EXPECT_EQ(parallel->breakdown.candidates,
+            merge.candidates - merge.duplicates_removed);
+  EXPECT_EQ(parallel->breakdown.duplicates_removed, 0u);
+  EXPECT_EQ(parallel_pairs, serial_pairs);
 }
 
 TEST_F(ParallelPbsmExecTest, RelationWithFewerPagesThanBuckets) {

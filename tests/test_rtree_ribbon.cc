@@ -124,7 +124,7 @@ void CheckRibbonWindow(const NodeRibbon& ribbon,
   const std::set<uint32_t> exact = ExactHits(entries, w);
   std::vector<uint32_t> idx(entries.size());
   for (const KernelKind kind : KernelsToTest()) {
-    if (ribbon.quantized() && !w.empty()) {
+    if (!w.empty()) {
       uint16_t wxlo, wylo, wxhi, wyhi;
       ribbon.QuantizeWindow(w, &wxlo, &wylo, &wxhi, &wyhi);
       uint64_t lanes = 0;
@@ -151,8 +151,7 @@ TEST(NodeRibbonTest, QuantizationConservatismFuzz) {
     const double span = seed % 2 == 0 ? 1000.0 : 1e-3;
     const auto entries = RandomEntries(180, seed, span, span / 100.0);
     NodeRibbon ribbon;
-    ribbon.Build(entries.data(), entries.size(), /*level=*/0,
-                 /*quantized=*/true);
+    ribbon.Build(entries.data(), entries.size(), /*level=*/0);
     Rng rng(seed * 1000);
     for (int q = 0; q < 60; ++q) {
       const double x = rng.UniformDouble(-span / 10, span);
@@ -210,8 +209,7 @@ TEST(NodeRibbonTest, DegenerateNodeMbrsStayConservative) {
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
     NodeRibbon ribbon;
-    ribbon.Build(c.entries.data(), c.entries.size(), /*level=*/0,
-                 /*quantized=*/true);
+    ribbon.Build(c.entries.data(), c.entries.size(), /*level=*/0);
     // Probe windows: hitting, missing, touching exactly, and covering all.
     CheckRibbonWindow(ribbon, c.entries, Rect(0.0, 0.0, 10.0, 10.0));
     CheckRibbonWindow(ribbon, c.entries, Rect(100.0, 100.0, 101.0, 101.0));
@@ -228,8 +226,8 @@ TEST(NodeRibbonTest, DegenerateNodeMbrsStayConservative) {
 TEST(NodeRibbonTest, AllLayoutsReturnIdenticalWindowQueryResults) {
   StorageEnv env(2048 * kPageSize);
   const auto entries = RandomEntries(5000, 42);
-  const std::vector<NodeLayout> layouts = {
-      NodeLayout::kAos, NodeLayout::kSoa, NodeLayout::kSoaQuantized};
+  const std::vector<NodeLayout> layouts = {NodeLayout::kAos,
+                                           NodeLayout::kSoaQuantized};
   std::vector<RStarTree> trees;
   for (const NodeLayout layout : layouts) {
     PBSM_ASSERT_OK_AND_ASSIGN(
@@ -242,8 +240,7 @@ TEST(NodeRibbonTest, AllLayoutsReturnIdenticalWindowQueryResults) {
     trees.push_back(std::move(tree));
   }
   ASSERT_EQ(trees[0].ribbon(trees[0].root_page()), nullptr);
-  ASSERT_NE(trees[2].ribbon(trees[2].root_page()), nullptr);
-  EXPECT_TRUE(trees[2].ribbon(trees[2].root_page())->quantized());
+  ASSERT_NE(trees[1].ribbon(trees[1].root_page()), nullptr);
 
   Rng rng(43);
   const std::vector<SimdMode> modes =
@@ -370,19 +367,20 @@ TEST(NodeRibbonTest, SteadyStateProbesDoNotAllocate) {
 TEST(NodeRibbonTest, LayoutKnobResolvesFromEnvironment) {
   ASSERT_EQ(setenv("PBSM_RTREE_LAYOUT", "aos", 1), 0);
   EXPECT_EQ(ResolveNodeLayout(NodeLayout::kAuto), NodeLayout::kAos);
+  // Unrecognised values (here "soa") fall back to quantized.
   ASSERT_EQ(setenv("PBSM_RTREE_LAYOUT", "soa", 1), 0);
-  EXPECT_EQ(ResolveNodeLayout(NodeLayout::kAuto), NodeLayout::kSoa);
+  EXPECT_EQ(ResolveNodeLayout(NodeLayout::kAuto), NodeLayout::kSoaQuantized);
   ASSERT_EQ(setenv("PBSM_RTREE_LAYOUT", "quantized", 1), 0);
   EXPECT_EQ(ResolveNodeLayout(NodeLayout::kAuto), NodeLayout::kSoaQuantized);
   ASSERT_EQ(unsetenv("PBSM_RTREE_LAYOUT"), 0);
   EXPECT_EQ(ResolveNodeLayout(NodeLayout::kAuto), NodeLayout::kSoaQuantized);
   // Explicit requests pass through regardless of the environment.
   ASSERT_EQ(setenv("PBSM_RTREE_LAYOUT", "aos", 1), 0);
-  EXPECT_EQ(ResolveNodeLayout(NodeLayout::kSoa), NodeLayout::kSoa);
+  EXPECT_EQ(ResolveNodeLayout(NodeLayout::kSoaQuantized),
+            NodeLayout::kSoaQuantized);
   ASSERT_EQ(unsetenv("PBSM_RTREE_LAYOUT"), 0);
 
   EXPECT_EQ(NodeLayoutCacheTag(NodeLayout::kAos), "aos");
-  EXPECT_EQ(NodeLayoutCacheTag(NodeLayout::kSoa), "soa.v1");
   EXPECT_EQ(NodeLayoutCacheTag(NodeLayout::kSoaQuantized), "q16.v1");
 }
 
