@@ -1,5 +1,5 @@
 // Closed-loop throughput/latency driver for the join service (see
-// DESIGN.md "Service layer" and "Sharded service"). Four experiments:
+// DESIGN.md "Service layer"). Four experiments:
 //
 //   1. Planner validation: on the Figure 7 (road x hydrography) and
 //      Figure 8 (road x rail) pairs, measure every method cold through the
@@ -16,7 +16,7 @@
 //      returns in microseconds and would otherwise drag the tail metrics
 //      toward zero exactly when the service is saturated.
 //   4. Sharded scatter-gather sweep (--shards=1,4): the same closed loop
-//      through a JoinRouter over N spatial shards. Reports wall-clock
+//      through a JoinService over N spatial shards. Reports wall-clock
 //      throughput (ungated — a single-core host serializes the shard
 //      workers) and critical-path throughput (completed / sum of per-query
 //      max slice execution time, the wall-clock a host with >= N cores
@@ -40,7 +40,6 @@
 
 #include "bench/bench_util.h"
 #include "common/stopwatch.h"
-#include "service/join_router.h"
 #include "service/join_service.h"
 #include "service/shard_manager.h"
 
@@ -305,7 +304,8 @@ int Run() {
   json += "],";
 
   // -------------------------------------------------------------------
-  // 4. Sharded scatter-gather sweep: the closed loop through a JoinRouter.
+  // 4. Sharded scatter-gather sweep: the closed loop through a JoinService
+  //    over the shards.
   // -------------------------------------------------------------------
   json += "\"sharded\":[";
   PrintTitle("sharded scatter-gather sweep (road x hydro, pbsm)");
@@ -324,10 +324,10 @@ int Run() {
     PBSM_CHECK(shards.RegisterDataset("road", &road->heap, road->info).ok());
     PBSM_CHECK(
         shards.RegisterDataset("hydro", &hydro->heap, hydro->info).ok());
-    JoinRouterConfig router_config;
-    router_config.queue_capacity = 128;
-    router_config.join_defaults.memory_budget_bytes = 8ull << 20;
-    JoinRouter router(&shards, router_config);
+    JoinServiceConfig sharded_config;
+    sharded_config.queue_capacity = 128;
+    sharded_config.join_defaults.memory_budget_bytes = 8ull << 20;
+    JoinService sharded(&shards, sharded_config);
 
     struct PerShard {
       uint64_t subjoins = 0;
@@ -351,12 +351,12 @@ int Run() {
           request.s_dataset = "hydro";
           request.method = JoinMethod::kPbsm;
           const JoinResponse response =
-              ExecuteClosedLoop(&router, request, &stats[c]);
+              ExecuteClosedLoop(&sharded, request, &stats[c]);
           std::lock_guard<std::mutex> lock(agg_mutex);
           // Critical path = the query's slowest slice, measured in worker
           // CPU time: wall time is inflated by time-sharing when the host
-          // has fewer cores than shards (slice cpu_seconds is exact with
-          // the router's serial sub-join default).
+          // has fewer cores than shards (slice cpu_seconds is exact for
+          // serial sub-joins).
           double critical = 0.0;
           for (const ShardSliceStats& slice : response.shard_slices) {
             critical = std::max(critical, slice.cpu_seconds);
@@ -373,7 +373,7 @@ int Run() {
     }
     for (std::thread& t : threads) t.join();
     const double elapsed = wall.ElapsedSeconds();
-    router.Shutdown(/*drain=*/true);
+    sharded.Shutdown(/*drain=*/true);
 
     const int completed = kShardClients * kQueriesPerShardClient;
     uint64_t rejected = 0;

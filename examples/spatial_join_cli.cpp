@@ -14,7 +14,7 @@
 // `auto` here, showing what the cost-based planner would pick.
 //
 // Service mode (long-running, planner + index cache; see DESIGN.md
-// "Service layer" and "Sharded service"):
+// "Service layer"):
 //   ./examples/spatial_join_cli serve R.wkt S.wkt [--workers=N] [--queue=N]
 //                               [--shards=N]
 // then issue commands on stdin, one per line:
@@ -23,12 +23,14 @@
 //   stats
 //   quit
 //
-// --shards=N > 1 runs the join through the sharded scatter-gather path
-// (ShardManager + JoinRouter): the universe is cut into N spatial strips,
-// each with its own buffer pool and index cache, and every query scatters
-// one sub-join per strip. Results and exit codes are identical to the
-// single-shard path — sharding is a throughput/isolation knob, not a
-// semantic one. In serve mode --workers then means workers PER SHARD.
+// --shards=N > 1 runs the join over N spatial shards (ShardManager): the
+// universe is cut into N strips, each with its own buffer pool and index
+// cache, and every query scatters one sub-join per strip. Results and exit
+// codes are identical to the single-shard path — sharding is a
+// throughput/isolation knob, not a semantic one. In serve mode --workers is
+// the TOTAL number of workers, raised to at least one per shard; `stats`
+// prints one line per shard and `explain` is unsharded-only (it answers
+// ERR over shards).
 //
 // Each input file holds one WKT geometry per line (POINT / LINESTRING /
 // POLYGON; '#' lines are comments). One-shot mode prints the result as
@@ -61,7 +63,6 @@
 #include "exec/plan_builder.h"
 #include "geom/wkt.h"
 #include "service/join_planner.h"
-#include "service/join_router.h"
 #include "service/join_service.h"
 #include "service/shard_manager.h"
 
@@ -86,13 +87,17 @@ void PrintUsage(std::FILE* out) {
       "[--explain]\n"
       "       spatial_join_cli serve R.wkt S.wkt [--workers=N] [--queue=N]\n"
       "                        [--refine-mode=MODE] [--fault-profile=SPEC]\n"
-      "                        [--shards=N]\n");
+      "                        [--shards=N]\n"
+      "  --workers is the total worker count, at least one per shard;\n"
+      "  --queue bounds each shard's queue.\n");
 }
 
 /// Flags shared by both modes, parsed strictly: any unrecognised --flag is
 /// a usage error (exit 2) instead of being silently treated as a file name.
 struct CliFlags {
   std::string fault_profile;
+  /// Serve mode: total service workers (raised to one per shard) and the
+  /// queue bound of each shard.
   uint32_t workers = 2;
   size_t queue_capacity = 64;
   /// > 1 routes the join through the sharded scatter-gather path.
@@ -207,111 +212,31 @@ int RunDemo() {
   return RunCli(5, argv);
 }
 
-/// Sharded serve loop: joins scatter over a JoinRouter instead of queueing
-/// on a JoinService. `auto` still routes through the cost-based planner —
-/// but per shard, so methods can differ across strips of one query.
-int ServeSharded(const CliFlags& flags, const StoredRelation& r,
-                 const StoredRelation& s) {
+/// A JoinService with R and S registered: over `pool` (one lane), or over
+/// flags.shards spatial shards when that is > 1.
+struct ServiceHost {
+  std::optional<ShardManager> shards;  ///< Declared first: outlives service.
+  std::optional<JoinService> service;
+};
+
+Status StartService(const CliFlags& flags, BufferPool* pool,
+                    const StoredRelation& r, const StoredRelation& s,
+                    ServiceHost* host) {
+  JoinServiceConfig config;
+  config.num_workers = flags.workers;
+  config.queue_capacity = flags.queue_capacity;
+  if (flags.shards <= 1) {
+    host->service.emplace(pool, config);
+    PBSM_RETURN_IF_ERROR(host->service->RegisterDataset("R", &r.heap, r.info));
+    return host->service->RegisterDataset("S", &s.heap, s.info);
+  }
   ShardManagerConfig shard_config;
   shard_config.num_shards = flags.shards;
-  ShardManager shards(shard_config);
-  Status reg = shards.RegisterDataset("R", &r.heap, r.info);
-  if (reg.ok()) reg = shards.RegisterDataset("S", &s.heap, s.info);
-  if (!reg.ok()) {
-    std::fprintf(stderr, "register failed: %s\n", reg.ToString().c_str());
-    return kExitRuntime;
-  }
-  JoinRouterConfig router_config;
-  router_config.workers_per_shard = flags.workers;
-  router_config.queue_capacity = flags.queue_capacity;
-  JoinRouter router(&shards, router_config);
-
-  std::printf("sharded layout: %s\n", shards.layout().ToString().c_str());
-  std::fflush(stdout);
-
-  std::string line;
-  while (std::getline(std::cin, line)) {
-    std::istringstream iss(line);
-    std::string cmd;
-    iss >> cmd;
-    if (cmd.empty()) continue;
-    if (cmd == "quit" || cmd == "exit") break;
-
-    if (cmd == "stats") {
-      for (uint32_t i = 0; i < shards.num_shards(); ++i) {
-        const ShardManager::Shard& shard = shards.shard(i);
-        std::printf("shard %u: cache %zu entries, %llu hits, %llu misses; "
-                    "queue depth %zu\n",
-                    i, shard.cache->size(),
-                    (unsigned long long)shard.cache->hits(),
-                    (unsigned long long)shard.cache->misses(),
-                    router.queue_depth(i));
-      }
-      std::fflush(stdout);
-      continue;
-    }
-
-    if (cmd != "join") {
-      std::printf("ERR unknown command '%s'\n", cmd.c_str());
-      std::fflush(stdout);
-      continue;
-    }
-
-    std::string pred_name = "intersects", method_name = "auto";
-    double timeout = 0.0;
-    iss >> pred_name >> method_name >> timeout;
-
-    JoinRequest request;
-    request.r_dataset = "R";
-    request.s_dataset = "S";
-    request.timeout_seconds = timeout;
-    request.refine_mode = flags.refine_mode;
-    if (pred_name == "intersects") {
-      request.predicate = SpatialPredicate::kIntersects;
-    } else if (pred_name == "contains") {
-      request.predicate = SpatialPredicate::kContains;
-    } else {
-      std::printf("ERR unknown predicate '%s'\n", pred_name.c_str());
-      std::fflush(stdout);
-      continue;
-    }
-    if (method_name != "auto") {
-      const auto method = ParseJoinMethod(method_name);
-      if (!method.has_value()) {
-        std::printf("ERR unknown method '%s'\n", method_name.c_str());
-        std::fflush(stdout);
-        continue;
-      }
-      request.method = *method;
-    }
-
-    auto response = router.Execute(std::move(request));
-    if (!response.ok()) {
-      std::printf("ERR %s\n", response.status().ToString().c_str());
-    } else {
-      double critical = 0.0;
-      for (const ShardSliceStats& slice : response->shard_slices) {
-        critical = std::max(critical, slice.exec_seconds);
-      }
-      std::printf("OK %llu results shards=%zu%s exec=%.4fs critical=%.4fs\n",
-                  (unsigned long long)response->num_results,
-                  response->shard_slices.size(),
-                  response->planner_chosen ? " (planned)" : "",
-                  response->exec_seconds, critical);
-      for (const ShardSliceStats& slice : response->shard_slices) {
-        std::printf("  shard %u: %llu results method=%.*s %.4fs%s%s\n",
-                    slice.shard, (unsigned long long)slice.num_results,
-                    (int)JoinMethodName(slice.method).size(),
-                    JoinMethodName(slice.method).data(), slice.exec_seconds,
-                    slice.stolen ? " (stolen)" : "",
-                    slice.speculative ? " (speculative)" : "");
-      }
-    }
-    std::fflush(stdout);
-  }
-
-  router.Shutdown(/*drain=*/true);
-  return kExitOk;
+  host->shards.emplace(shard_config);
+  PBSM_RETURN_IF_ERROR(host->shards->RegisterDataset("R", &r.heap, r.info));
+  PBSM_RETURN_IF_ERROR(host->shards->RegisterDataset("S", &s.heap, s.info));
+  host->service.emplace(&*host->shards, config);
+  return Status::OK();
 }
 
 /// `serve` mode: loads both relations once, then answers join commands
@@ -351,34 +276,23 @@ int RunServe(const CliFlags& flags, const std::string& r_path,
     return kExitRuntime;
   }
 
-  if (flags.shards > 1) {
-    std::printf("serving R=%s (%llu) S=%s (%llu) over %u shards; commands: "
-                "join <pred> [method|auto] [timeout_s] | stats | quit\n",
-                r_path.c_str(), (unsigned long long)r->info.cardinality,
-                s_path.c_str(), (unsigned long long)s->info.cardinality,
-                flags.shards);
-    std::fflush(stdout);
-    const int rc = ServeSharded(flags, *r, *s);
-    std::filesystem::remove_all(dir);
-    return rc;
-  }
-
-  JoinServiceConfig config;
-  config.num_workers = flags.workers;
-  config.queue_capacity = flags.queue_capacity;
-  JoinService service(&pool, config);
-  Status reg = service.RegisterDataset("R", &r->heap, r->info);
-  if (reg.ok()) reg = service.RegisterDataset("S", &s->heap, s->info);
-  if (!reg.ok()) {
+  ServiceHost host;
+  if (const Status reg = StartService(flags, &pool, *r, *s, &host); !reg.ok()) {
     std::fprintf(stderr, "register failed: %s\n", reg.ToString().c_str());
     return kExitRuntime;
   }
+  JoinService& service = *host.service;
 
-  std::printf("serving R=%s (%llu) S=%s (%llu); commands: "
+  std::printf("serving R=%s (%llu) S=%s (%llu) over %u lane(s); commands: "
               "join <pred> [method|auto] [timeout_s] | "
               "explain <pred> [method|auto] | stats | quit\n",
               r_path.c_str(), (unsigned long long)r->info.cardinality,
-              s_path.c_str(), (unsigned long long)s->info.cardinality);
+              s_path.c_str(), (unsigned long long)s->info.cardinality,
+              service.num_lanes());
+  if (host.shards.has_value()) {
+    std::printf("sharded layout: %s\n",
+                host.shards->layout().ToString().c_str());
+  }
   std::fflush(stdout);
 
   std::string line;
@@ -390,13 +304,15 @@ int RunServe(const CliFlags& flags, const std::string& r_path,
     if (cmd == "quit" || cmd == "exit") break;
 
     if (cmd == "stats") {
-      std::printf("cache: %zu entries, %llu hits, %llu misses, %llu "
-                  "evictions; queue depth %zu\n",
-                  service.cache().size(),
-                  (unsigned long long)service.cache().hits(),
-                  (unsigned long long)service.cache().misses(),
-                  (unsigned long long)service.cache().evictions(),
-                  service.queue_depth());
+      for (uint32_t lane = 0; lane < service.num_lanes(); ++lane) {
+        const IndexCache& cache = service.cache(lane);
+        std::printf("lane %u: cache %zu entries, %llu hits, %llu misses, "
+                    "%llu evictions; queue depth %zu\n",
+                    lane, cache.size(), (unsigned long long)cache.hits(),
+                    (unsigned long long)cache.misses(),
+                    (unsigned long long)cache.evictions(),
+                    service.queue_depth(lane));
+      }
       std::fflush(stdout);
       continue;
     }
@@ -467,6 +383,15 @@ int RunServe(const CliFlags& flags, const std::string& r_path,
                   response->exec_seconds, response->queue_seconds);
       if (response->planner_chosen) {
         std::printf("plan: %s\n", response->plan.c_str());
+      }
+      if (host.shards.has_value()) {
+        for (const ShardSliceStats& slice : response->shard_slices) {
+          std::printf("  shard %u: %llu results method=%.*s %.4fs%s\n",
+                      slice.shard, (unsigned long long)slice.num_results,
+                      (int)JoinMethodName(slice.method).size(),
+                      JoinMethodName(slice.method).data(),
+                      slice.exec_seconds, slice.stolen ? " (stolen)" : "");
+        }
       }
     }
     std::fflush(stdout);
@@ -615,21 +540,15 @@ int RunCli(int argc, const char** argv) {
   };
 
   if (flags.shards > 1) {
-    // Sharded one-shot: scatter over a router. The router's sinks hand back
-    // GLOBAL oids (local->global translation), so the line-number sink works
-    // unchanged — but it may now be called from several shard workers at
-    // once, hence the lock.
-    ShardManagerConfig shard_config;
-    shard_config.num_shards = flags.shards;
-    ShardManager shards(shard_config);
-    Status reg = shards.RegisterDataset("R", &r->heap, r->info);
-    if (reg.ok()) reg = shards.RegisterDataset("S", &s->heap, s->info);
-    if (!reg.ok()) {
+    // Sharded one-shot: one query through a JoinService over the shards.
+    // Shard lanes hand back GLOBAL oids, so the line-number sink works
+    // unchanged — but several shard workers may call it at once.
+    ServiceHost host;
+    if (const Status reg = StartService(flags, &pool, *r, *s, &host);
+        !reg.ok()) {
       std::fprintf(stderr, "register failed: %s\n", reg.ToString().c_str());
       return kExitRuntime;
     }
-    JoinRouterConfig router_config;
-    JoinRouter router(&shards, router_config);
     std::mutex sink_mutex;
     JoinRequest request;
     request.r_dataset = "R";
@@ -641,8 +560,8 @@ int RunCli(int argc, const char** argv) {
       std::lock_guard<std::mutex> lock(sink_mutex);
       sink(ro, so);
     };
-    auto response = router.Execute(std::move(request));
-    router.Shutdown(/*drain=*/true);
+    auto response = host.service->Execute(std::move(request));
+    host.service->Shutdown(/*drain=*/true);
     if (!response.ok()) {
       std::fprintf(stderr, "join failed: %s\n",
                    response.status().ToString().c_str());

@@ -1,218 +1,13 @@
 #ifndef PBSM_SERVICE_JOIN_ROUTER_H_
 #define PBSM_SERVICE_JOIN_ROUTER_H_
 
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
-#include <cstdint>
-#include <deque>
-#include <memory>
-#include <mutex>
-#include <queue>
-#include <string>
-#include <thread>
-#include <utility>
-#include <vector>
-
-#include "common/bounded_queue.h"
-#include "common/canceller.h"
-#include "common/metrics.h"
-#include "common/status.h"
 #include "service/join_service.h"
-#include "service/shard_manager.h"
 
 namespace pbsm {
 
-/// Ticket for one scatter-gathered query. Mirrors JoinQuery; created by
-/// JoinRouter::Submit. Thread-safe.
-class RouterQuery {
- public:
-  /// Blocks until every dispatched sub-join has settled and returns the
-  /// gathered result. Idempotent.
-  const Result<JoinResponse>& Wait();
-
-  bool done() const;
-
-  /// Requests cooperative cancellation of every sub-join (queued ones fail
-  /// without running; running ones stop at their next check).
-  void Cancel();
-
- private:
-  friend class JoinRouter;
-
-  JoinRequest request_;
-  Canceller canceller_;
-  std::chrono::steady_clock::time_point submit_time_;
-
-  mutable std::mutex mutex_;
-  std::condition_variable done_cv_;
-  bool done_ = false;
-  uint32_t remaining_ = 0;       ///< Sub-joins not yet settled.
-  bool started_ = false;         ///< First sub-join began executing.
-  std::chrono::steady_clock::time_point first_start_;
-  Status first_bad_;             ///< First non-OK sub-join status.
-  JoinResponse response_;        ///< Aggregated under mutex_.
-  Result<JoinResponse> result_{Status::Internal("query still pending")};
-};
-
-struct JoinRouterConfig {
-  /// Worker threads per shard (each runs one sub-join at a time).
-  uint32_t workers_per_shard = 1;
-
-  /// Per-shard sub-join queue bound. A query whose scatter cannot place
-  /// every sub-join is rejected whole with kResourceExhausted.
-  size_t queue_capacity = 64;
-
-  /// Idle beat of a shard worker: how long it waits on its home queue
-  /// before scanning sibling queues for work to steal.
-  double steal_poll_seconds = 0.002;
-
-  /// Partition stealing: an idle worker pops from the deepest sibling
-  /// queue. Off turns straggler mitigation down to re-dispatch only.
-  bool enable_stealing = true;
-
-  /// Speculative re-dispatch knob: > 0 re-enqueues a sub-join still queued
-  /// after this many seconds onto the shallowest sibling queue. The copy
-  /// and the original race for an atomic claim, so the sub-join still runs
-  /// exactly once. 0 disables.
-  double speculative_deadline_seconds = 0.0;
-
-  /// Per-sub-join join knobs; `cancel` is overwritten per query.
-  /// num_threads applies within one sub-join — with shards supplying the
-  /// inter-query parallelism, 1 (serial sub-joins) is the right default.
-  JoinOptions join_defaults;
-};
-
-/// Scatter-gather router over a ShardManager — the sharded counterpart of
-/// JoinService (see DESIGN.md "Sharded service"):
-///
-///  - Submit clips the request window against the shard strips and
-///    dispatches one sub-join per overlapping shard (every shard when
-///    unwindowed) onto per-shard bounded priority queues;
-///  - per-shard worker loops execute sub-joins against their shard's
-///    private storage stack, planning each sub-join from that shard's slice
-///    statistics and index-cache state (shard-aware costing: a warm shard
-///    may run kRtree while a cold sibling picks kPbsm);
-///  - results gather on the ticket; sub-join sinks translate slice OIDs
-///    back to global OIDs, apply the window filter, and drop pairs whose
-///    border-ownership reference corner lies in another strip (two-layer
-///    rule at shard granularity — scatter-gather needs no dedup merge);
-///  - the first sub-join to hit a real error Report()s it on the query
-///    canceller, cancelling every sibling shard; the gathered status is
-///    that first error (kCancelled never masks it);
-///  - straggler mitigation: idle workers steal from the deepest sibling
-///    queue, and the monitor thread optionally re-dispatches long-queued
-///    sub-joins speculatively (both guarded by a per-sub-join atomic claim);
-///  - a monitor thread doubles as the timeout watchdog.
-///
-/// Per-shard metrics: service.shard.<i>.queue_depth gauges and
-/// service.shard.<i>.latency_us histograms, plus the global
-/// service.shard.{subjoins,stolen_partitions,redispatches,border_filtered}
-/// counters. Scatter and sub-joins run under router/" trace spans.
-///
-/// Thread-safety: every public method may be called from any thread; the
-/// per-pair ResultSink of a sharded request may be invoked CONCURRENTLY
-/// from different shard workers — unlike JoinService, sinks must be
-/// thread-safe.
-class JoinRouter {
- public:
-  JoinRouter(ShardManager* shards, JoinRouterConfig config);
-  ~JoinRouter();  ///< Shutdown(/*drain=*/false) if still running.
-
-  JoinRouter(const JoinRouter&) = delete;
-  JoinRouter& operator=(const JoinRouter&) = delete;
-
-  /// Scatters a query. Fails fast with kResourceExhausted when any target
-  /// shard queue is full (the whole query is rejected — partial scatters
-  /// are withdrawn), kNotFound for unknown datasets, kFailedPrecondition
-  /// after shutdown began.
-  Result<std::shared_ptr<RouterQuery>> Submit(JoinRequest request);
-
-  /// Submit + Wait convenience for synchronous callers.
-  Result<JoinResponse> Execute(JoinRequest request);
-
-  /// Stops accepting queries; with `drain` finishes everything queued
-  /// (workers keep stealing until every queue is empty), otherwise fails
-  /// queued sub-joins and cancels running queries. Idempotent.
-  void Shutdown(bool drain = true);
-
-  uint32_t num_shards() const { return shards_->num_shards(); }
-  size_t queue_depth(uint32_t shard) const {
-    return queues_[shard]->size();
-  }
-
- private:
-  struct SubJoin {
-    std::shared_ptr<RouterQuery> query;
-    uint32_t shard = 0;  ///< The shard whose slices this sub-join reads.
-    /// Exactly-once execution guard: set by the winning worker
-    /// (claim-or-skip), by Submit when withdrawing a partial scatter, and
-    /// by non-drain shutdown when completing drained sub-joins.
-    std::atomic<bool> claimed{false};
-    /// Set by the monitor when a speculative copy has been enqueued.
-    std::atomic<bool> redispatched{false};
-    std::chrono::steady_clock::time_point enqueue_time;
-  };
-  using SubJoinRef = std::shared_ptr<SubJoin>;
-  using QueryRef = std::shared_ptr<RouterQuery>;
-
-  void WorkerLoop(uint32_t home_shard);
-  void MonitorLoop();
-  bool AllQueuesEmpty() const;
-
-  void RunSubJoin(const SubJoinRef& sub, bool stolen);
-  /// The join itself: per-shard planning, per-shard index cache, slice
-  /// sink wrapping. Fills `slice` (results, method).
-  Status ExecuteSubJoin(const QueryRef& query, uint32_t shard_id,
-                        ShardSliceStats* slice);
-  /// Settles one sub-join on its query; the last one finalizes the gather.
-  void CompleteSub(const SubJoinRef& sub, const Status& status,
-                   const ShardSliceStats* slice);
-  void UpdateQueueGauge(uint32_t shard);
-
-  ShardManager* shards_;
-  const JoinRouterConfig config_;
-  std::vector<std::unique_ptr<BoundedQueue<SubJoinRef>>> queues_;
-  std::vector<std::thread> workers_;
-  std::thread monitor_;
-
-  // Monitor state: timeout deadlines (min-heap) + the speculative
-  // re-dispatch watchlist. Guarded by monitor_mutex_.
-  std::mutex monitor_mutex_;
-  std::condition_variable monitor_cv_;
-  using Deadline = std::pair<std::chrono::steady_clock::time_point,
-                             std::weak_ptr<RouterQuery>>;
-  struct DeadlineLater {
-    bool operator()(const Deadline& a, const Deadline& b) const {
-      return a.first > b.first;
-    }
-  };
-  std::priority_queue<Deadline, std::vector<Deadline>, DeadlineLater>
-      deadlines_;
-  std::deque<std::weak_ptr<SubJoin>> watchlist_;
-
-  // In-flight queries, for non-drain shutdown cancellation.
-  std::mutex running_mutex_;
-  std::vector<std::weak_ptr<RouterQuery>> running_;
-
-  std::atomic<bool> stopping_{false};
-  std::atomic<bool> draining_{true};
-  std::mutex shutdown_mutex_;
-  bool shutdown_complete_ = false;  ///< Guarded by shutdown_mutex_.
-
-  Counter* submitted_;
-  Counter* completed_;
-  Counter* failed_;
-  Counter* cancelled_;
-  Counter* rejected_;
-  Counter* subjoins_;
-  Counter* stolen_;
-  Counter* redispatches_;
-  Counter* border_filtered_;
-  Counter* planned_;
-  std::vector<Gauge*> queue_depth_gauges_;       ///< Per shard.
-  std::vector<Histogram*> shard_latency_us_;     ///< Per shard.
-};
+using JoinRouter = JoinService;
+using RouterQuery = JoinQuery;
+using JoinRouterConfig = JoinServiceConfig;
 
 }  // namespace pbsm
 

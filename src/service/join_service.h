@@ -21,12 +21,12 @@
 #include "common/canceller.h"
 #include "common/metrics.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "core/selectivity.h"
 #include "core/spatial_join.h"
 #include "exec/view_maintainer.h"
 #include "service/index_cache.h"
 #include "service/join_planner.h"
+#include "service/shard_manager.h"
 #include "storage/buffer_pool.h"
 #include "storage/tuple.h"
 
@@ -62,29 +62,32 @@ struct JoinRequest {
 
   QueryPriority priority = QueryPriority::kBatch;
 
-  /// Wall-clock budget from admission (not submission); 0 = unlimited.
-  /// Expiry cancels the join cooperatively (StatusCode::kCancelled).
+  /// Wall-clock budget from submission (Submit); 0 = unlimited. Expiry
+  /// cancels the join cooperatively (StatusCode::kCancelled), also while
+  /// the query waits in a queue or for admission.
   double timeout_seconds = 0.0;
 
-  /// Optional per-pair callback; invoked from a service worker thread.
+  /// Optional per-pair callback, invoked from service worker threads. A
+  /// query over shards runs one sub-join per shard, and their sinks may
+  /// fire CONCURRENTLY: the sink must then be thread-safe.
   ResultSink sink;
 };
 
-/// Per-shard execution record of one scatter-gathered (sharded) query —
-/// what the JoinRouter appends to the response for each sub-join.
+/// Execution record of one sub-join. A query over one lane (the pool-backed
+/// service) has exactly one; a query over shards has one per shard its
+/// window overlaps (every shard when unwindowed).
 struct ShardSliceStats {
-  uint32_t shard = 0;          ///< The shard whose slices were joined.
+  uint32_t shard = 0;          ///< The lane (shard) the sub-join read.
   JoinMethod method = JoinMethod::kPbsm;
   uint64_t num_results = 0;    ///< After window + border-ownership filters.
   double exec_seconds = 0.0;   ///< This sub-join's execution wall time.
   /// CPU time the executing worker thread spent on this sub-join. With
-  /// serial sub-joins (the router's num_threads=1 default) this is the
-  /// slice's full work, immune to time-sharing with sibling workers — the
-  /// number the bench's critical-path throughput is computed from. With
-  /// intra-sub-join threads it undercounts (pool threads are not metered).
+  /// serial sub-joins (num_threads=1) this is the slice's full work, immune
+  /// to time-sharing with sibling workers — the number the bench's
+  /// critical-path throughput is computed from. With intra-sub-join threads
+  /// it undercounts (pool threads are not metered).
   double cpu_seconds = 0.0;
-  bool stolen = false;         ///< Executed by a sibling shard's worker.
-  bool speculative = false;    ///< Ran via speculative re-dispatch.
+  bool stolen = false;         ///< Executed by a worker homed on another lane.
 };
 
 /// What a completed query reports back.
@@ -93,14 +96,12 @@ struct JoinResponse {
   bool planner_chosen = false;
   std::string plan;            ///< Cost table when the planner chose.
   uint64_t num_results = 0;
-  double queue_seconds = 0.0;  ///< Submission to admission.
-  double exec_seconds = 0.0;   ///< Admission to completion.
+  double queue_seconds = 0.0;  ///< Submission to the first sub-join's start.
+  double exec_seconds = 0.0;   ///< First sub-join's start to completion.
 
-  /// Sharded execution only (JoinRouter): one record per dispatched
-  /// sub-join, in completion order. max(exec_seconds) over the slices is
-  /// the query's shard-parallel critical path — the latency an
-  /// unconstrained multi-core host would see; the throughput bench gates
-  /// on it. Empty for single-service (JoinService) execution.
+  /// One record per sub-join, in completion order. Over shards,
+  /// max(exec_seconds) is the query's shard-parallel critical path — the
+  /// latency an unconstrained multi-core host would see.
   std::vector<ShardSliceStats> shard_slices;
 };
 
@@ -123,14 +124,14 @@ struct ExplainResult {
 /// Wait() for the result and may Cancel() at any time. Thread-safe.
 class JoinQuery {
  public:
-  /// Blocks until the query completes (or is cancelled / times out) and
-  /// returns its result. Idempotent.
+  /// Blocks until every sub-join has settled and returns the gathered
+  /// result. Idempotent.
   const Result<JoinResponse>& Wait();
 
   bool done() const;
 
-  /// Requests cooperative cancellation. A queued query fails without
-  /// running; a running one stops at its next cancellation check.
+  /// Requests cooperative cancellation of every sub-join: queued ones fail
+  /// without running, running ones stop at their next cancellation check.
   void Cancel();
 
  private:
@@ -143,58 +144,69 @@ class JoinQuery {
   mutable std::mutex mutex_;
   std::condition_variable done_cv_;
   bool done_ = false;
+  uint32_t remaining_ = 0;       ///< Sub-joins not yet settled.
+  bool started_ = false;         ///< First sub-join passed admission.
+  std::chrono::steady_clock::time_point first_start_;
+  Status first_bad_;             ///< First non-OK sub-join status.
+  JoinResponse response_;        ///< Gathered under mutex_.
   Result<JoinResponse> result_{Status::Internal("query still pending")};
 };
 
 struct JoinServiceConfig {
-  /// Concurrent query executors (each runs one join at a time).
+  /// Total query executors, raised to at least one per lane. Each runs one
+  /// sub-join at a time.
   uint32_t num_workers = 2;
 
-  /// Bounded request queue; a full queue rejects Submit with
-  /// kResourceExhausted (backpressure, not unbounded buffering).
+  /// Bounded request queue of each lane; a query whose sub-joins do not
+  /// all fit is rejected whole with kResourceExhausted (backpressure, not
+  /// unbounded buffering).
   size_t queue_capacity = 64;
 
-  /// Total operator memory the admission controller hands out, as a
-  /// fraction of the buffer pool. A query reserves its operator budget
-  /// before running and waits (admission control) when the pool is
-  /// oversubscribed.
-  double admission_fraction = 0.5;
-
-  /// Histogram grid for dataset statistics (planner input).
-  uint32_t histogram_nx = 32;
-  uint32_t histogram_ny = 32;
-
-  IndexCache::Config cache;
-
   /// Per-query join knobs (memory budget, tiles, refinement mode, ...).
-  /// `cancel` is overwritten per query; `num_threads` caps the parallel
-  /// executor if the planner picks it.
+  /// `cancel` is overwritten per query; `num_threads` applies within one
+  /// sub-join and caps the parallel executor if the planner picks it.
   JoinOptions join_defaults;
 };
 
-/// Long-running in-process spatial-join service: a bounded priority queue
-/// of JoinRequests drained by a pool of executor workers, with
+/// Long-running in-process spatial-join service (see DESIGN.md "Service
+/// layer"). It schedules over one or more *lanes*, where a lane is a
+/// buffer pool, an index cache and a dataset registry:
 ///
-///  - admission control: each query reserves its operator memory budget
-///    against a fraction of the buffer pool before running, so concurrent
-///    joins cannot collectively thrash the pool;
-///  - cost-based planning: requests without a method override are routed
-///    by PlanJoin() over catalog stats and per-dataset histograms;
-///  - index caching: R*-trees built for kRtree/kInl queries are retained
-///    in a sharded LRU (IndexCache) and reused until the dataset is
-///    dropped, making repeat index-method queries skip the build;
-///  - per-query timeouts and cancellation via Canceller chaining (a
-///    watchdog thread cancels queries past their deadline);
-///  - graceful drain: Shutdown(true) finishes every queued query,
-///    Shutdown(false) fails queued queries and cancels running ones.
+///  - JoinService(BufferPool*, ...) is one lane over the caller's pool,
+///    with datasets registered on the service;
+///  - JoinService(ShardManager*, ...) has one lane per spatial shard, with
+///    datasets registered on the ShardManager.
 ///
-/// Thread-safety: every public method may be called from any thread.
-/// Datasets are registered by name; the service borrows the HeapFile (the
-/// caller keeps ownership and must keep it alive until DropDataset or
-/// shutdown).
+/// Every query becomes one sub-join per lane it touches (one, or every
+/// shard its window overlaps), and both backings share one path:
+///
+///  - per-lane bounded priority queues; a query that does not fit in every
+///    target queue is withdrawn whole;
+///  - max(num_workers, lanes) workers homed round-robin on the lanes; an
+///    idle worker steals from the deepest sibling queue;
+///  - per-lane memory admission: a sub-join reserves its operator budget
+///    against max(budget, half the lane's pool) and waits when the lane is
+///    oversubscribed, whichever worker runs it;
+///  - per-lane cost-based planning from the lane's statistics and index
+///    cache state (a warm shard may run kRtree while a cold one picks
+///    kPbsm), with R*-trees reused through the lane's IndexCache;
+///  - shard lanes translate slice OIDs back to global OIDs and drop pairs
+///    another strip owns (border ownership), so the gather needs no dedup;
+///  - the first sub-join to hit a real error Report()s it on the query
+///    canceller, cancelling its siblings (kCancelled never masks it);
+///  - one monitor thread cancels queries past their deadline, until every
+///    worker has exited;
+///  - Shutdown(true) finishes every queued query, Shutdown(false) fails
+///    queued queries and cancels running ones.
+///
+/// Thread-safety: every public method may be called from any thread. On a
+/// pool-backed service datasets are registered by name and the service
+/// borrows the HeapFile (the caller keeps ownership and must keep it alive
+/// until DropDataset or shutdown).
 class JoinService {
  public:
   JoinService(BufferPool* pool, JoinServiceConfig config);
+  JoinService(ShardManager* shards, JoinServiceConfig config);
   ~JoinService();  ///< Shutdown(/*drain=*/false) if still running.
 
   JoinService(const JoinService&) = delete;
@@ -204,15 +216,17 @@ class JoinService {
   /// the planner histogram and the MBR table used for window filtering
   /// (skipped when `build_stats` is false — the planner then falls back to
   /// catalog-only estimates and window queries are rejected).
+  /// kFailedPrecondition over shards: register on the ShardManager.
   Status RegisterDataset(const std::string& name, const HeapFile* heap,
                          const RelationInfo& info, bool build_stats = true);
 
   /// Unregisters `name` and invalidates every cached index over it.
   /// Running queries keep their index refs (cache pinning contract).
+  /// kFailedPrecondition over shards.
   Status DropDataset(const std::string& name);
 
-  /// Enqueues a query. Fails fast with kResourceExhausted when the queue
-  /// is full (backpressure), kNotFound for unknown datasets, and
+  /// Enqueues a query. Fails fast with kResourceExhausted when a target
+  /// queue is full (backpressure), kNotFound for unknown datasets, and
   /// kFailedPrecondition after shutdown began.
   Result<std::shared_ptr<JoinQuery>> Submit(JoinRequest request);
 
@@ -223,13 +237,14 @@ class JoinService {
   /// (or honours the forced method), builds the operator tree the exec
   /// layer would drive, and returns both renderings. Touches no heap pages
   /// beyond the statistics already captured at registration and never
-  /// builds indexes.
+  /// builds indexes. kFailedPrecondition over shards.
   Result<ExplainResult> Explain(const JoinRequest& request) const;
 
   /// Registers a materialized join view named `view_name` over two
   /// registered datasets and runs the base join to populate it. The view is
   /// then kept current through ViewInsert/ViewDelete. Fails with
-  /// kAlreadyExists-style kInvalidArgument when the name is taken.
+  /// kAlreadyExists-style kInvalidArgument when the name is taken, and
+  /// kFailedPrecondition over shards.
   Status CreateView(const std::string& view_name, const std::string& r_dataset,
                     const std::string& s_dataset,
                     SpatialPredicate predicate = SpatialPredicate::kIntersects,
@@ -261,17 +276,24 @@ class JoinService {
   Status ViewDelete(const std::string& view_name,
                     MaterializedJoinView::Side side, Oid oid);
 
-  /// Stops accepting queries; with `drain` finishes everything queued,
-  /// otherwise fails queued queries (kCancelled) and cancels running ones.
-  /// Idempotent; the first call's drain mode wins. Blocks until workers
-  /// and the watchdog have exited.
+  /// Stops accepting queries; with `drain` finishes everything queued
+  /// (idle workers keep stealing until every queue is empty), otherwise
+  /// fails queued queries (kCancelled) and cancels running ones. Deadlines
+  /// keep firing until the workers have exited. Idempotent; the first
+  /// call's drain mode wins. Blocks until workers and the monitor exit.
   void Shutdown(bool drain = true);
 
-  IndexCache& cache() { return cache_; }
-  size_t queue_depth() const { return queue_.size(); }
-  uint32_t num_workers() const { return config_.num_workers; }
+  uint32_t num_lanes() const { return static_cast<uint32_t>(lanes_.size()); }
+  IndexCache& cache(uint32_t lane = 0) { return *lanes_[lane]->cache; }
+  size_t queue_depth(uint32_t lane = 0) const {
+    return lanes_[lane]->queue.size();
+  }
+  uint32_t num_workers() const {
+    return static_cast<uint32_t>(workers_.size());
+  }
 
  private:
+  /// One dataset of the pool-backed registry.
   struct Dataset {
     const HeapFile* heap = nullptr;
     RelationInfo info;
@@ -280,9 +302,48 @@ class JoinService {
     std::unordered_map<uint64_t, Rect> mbrs;
   };
   using DatasetRef = std::shared_ptr<const Dataset>;
+
+  /// One dataset as a lane sees it, from either registry.
+  struct LaneDataset {
+    std::shared_ptr<const void> snapshot;  ///< Keeps the entry alive.
+    JoinInput input;
+    const SpatialHistogram* histogram = nullptr;
+    const std::unordered_map<uint64_t, Rect>* mbrs = nullptr;
+    /// Slice Oid.Encode() -> global Oid; shard lanes only.
+    const std::unordered_map<uint64_t, Oid>* local_to_global = nullptr;
+  };
+
   using QueryRef = std::shared_ptr<JoinQuery>;
 
-  /// One registered view plus the dataset names it joins, so mutations can
+  struct SubJoin {
+    QueryRef query;
+    uint32_t lane = 0;
+    /// Exactly-once execution guard: set by the worker that runs it
+    /// (claim-or-skip), by Submit when withdrawing a partial scatter, and
+    /// by non-drain shutdown when failing queued sub-joins.
+    std::atomic<bool> claimed{false};
+  };
+  using SubJoinRef = std::shared_ptr<SubJoin>;
+
+  /// A buffer pool, its index cache, its queue and its admission budget.
+  struct Lane {
+    Lane(BufferPool* pool, IndexCache* cache, size_t queue_capacity,
+         size_t admission_budget)
+        : pool(pool),
+          cache(cache),
+          queue(queue_capacity, /*num_priorities=*/2),
+          admission_budget(admission_budget) {}
+
+    BufferPool* const pool;
+    IndexCache* const cache;
+    BoundedQueue<SubJoinRef> queue;
+    const size_t admission_budget;
+    std::mutex admission_mutex;
+    std::condition_variable admission_cv;  ///< Release and shutdown.
+    size_t admission_used = 0;             ///< Guarded by admission_mutex.
+  };
+
+  /// One view plus the dataset names it joins, so mutations can
   /// invalidate the right cache entries and DropDataset can refuse while a
   /// view still depends on the dataset.
   struct ViewEntry {
@@ -291,34 +352,47 @@ class JoinService {
     std::string s_dataset;
   };
 
-  void WorkerLoop();
-  void WatchdogLoop();
-  void RunQuery(const QueryRef& query);
-  /// Executes the join itself; factored out so RunQuery owns bookkeeping
-  /// (admission, metrics, completion) and this owns planning + dispatch.
-  Result<JoinResponse> ExecuteJoin(const QueryRef& query, const DatasetRef& r,
-                                   const DatasetRef& s);
-  void Complete(const QueryRef& query, Result<JoinResponse> result);
+  void AddLane(BufferPool* pool, IndexCache* cache);
+  void StartThreads();
+  bool sharded() const { return shards_ != nullptr; }
+
+  void WorkerLoop(uint32_t home);
+  void MonitorLoop();
+  bool AllQueuesEmpty() const;
+  void UpdateQueueGauge();
+
+  void RunSubJoin(const SubJoinRef& sub, bool stolen);
+  /// Plans, pins indexes and runs one sub-join on `lane`; fills `slice`.
+  Status RunOnLane(JoinQuery& query, uint32_t lane, ShardSliceStats* slice);
+  /// Settles one sub-join on its query; the last one completes the query.
+  void CompleteSub(const SubJoinRef& sub, const Status& status,
+                   const ShardSliceStats* slice);
+
+  /// The planner call a sub-join (and Explain) makes on `lane`, including
+  /// the lane's index-cache warmth.
+  PlanChoice PlanOnLane(uint32_t lane, const LaneDataset& r,
+                        const LaneDataset& s, const JoinSpec& spec) const;
+  JoinSpec BaseSpec(const JoinRequest& request) const;
 
   Result<DatasetRef> FindDataset(const std::string& name) const;
+  Result<LaneDataset> FindLaneDataset(uint32_t lane,
+                                      const std::string& name) const;
   Result<ViewEntry> FindView(const std::string& name) const;
   /// Common tail of ViewInsert/ViewDelete: cache invalidation over the
   /// mutated side's dataset.
   void InvalidateAfterViewMutation(const ViewEntry& entry,
                                    MaterializedJoinView::Side side);
 
-  /// Blocks until `bytes` of admission budget is free, the query is
-  /// cancelled, or the service stops draining. True on success.
-  bool AdmitMemory(size_t bytes, const QueryRef& query);
-  void ReleaseMemory(size_t bytes);
+  /// Blocks until `bytes` of the lane's admission budget is free, the
+  /// query is cancelled, or the service stops without draining. True on
+  /// success.
+  bool AdmitMemory(Lane* lane, size_t bytes, const JoinQuery& query);
+  void ReleaseMemory(Lane* lane, size_t bytes);
 
-  BufferPool* pool_;
+  ShardManager* const shards_ = nullptr;  ///< Null for the pool backing.
   const JoinServiceConfig config_;
-  IndexCache cache_;
-
-  BoundedQueue<QueryRef> queue_;
-  ThreadPool workers_;
-  std::thread watchdog_;
+  std::unique_ptr<IndexCache> owned_cache_;  ///< The pool backing's cache.
+  std::vector<std::unique_ptr<Lane>> lanes_;
 
   mutable std::mutex datasets_mutex_;
   std::map<std::string, DatasetRef> datasets_;
@@ -326,17 +400,11 @@ class JoinService {
   mutable std::mutex views_mutex_;
   std::map<std::string, ViewEntry> views_;
 
-  // Admission budget (bytes). Guarded by admission_mutex_; admission_cv_
-  // wakes waiters on release and on shutdown.
-  std::mutex admission_mutex_;
-  std::condition_variable admission_cv_;
-  size_t admission_budget_ = 0;
-  size_t admission_used_ = 0;
-
-  // Deadline heap for the watchdog: (deadline, query). weak_ptr so a
+  // Deadline heap for the monitor: (deadline, query). weak_ptr so a
   // finished query's ticket can die before its deadline fires.
-  std::mutex watchdog_mutex_;
-  std::condition_variable watchdog_cv_;
+  std::mutex monitor_mutex_;
+  std::condition_variable monitor_cv_;
+  bool monitor_stop_ = false;  ///< Guarded by monitor_mutex_.
   using Deadline =
       std::pair<std::chrono::steady_clock::time_point, std::weak_ptr<JoinQuery>>;
   struct DeadlineLater {
@@ -347,7 +415,7 @@ class JoinService {
   std::priority_queue<Deadline, std::vector<Deadline>, DeadlineLater>
       deadlines_;
 
-  // In-flight queries (weak: a finished ticket may be released by its
+  // Accepted queries (weak: a finished ticket may be released by its
   // client before shutdown looks). Non-drain shutdown cancels them all.
   std::mutex running_mutex_;
   std::vector<std::weak_ptr<JoinQuery>> running_;
@@ -357,18 +425,30 @@ class JoinService {
   std::mutex shutdown_mutex_;
   bool shutdown_complete_ = false;  ///< Guarded by shutdown_mutex_.
 
-  Gauge* queue_depth_gauge_;
-  Gauge* running_gauge_;
-  Counter* submitted_;
-  Counter* completed_;
-  Counter* failed_;
-  Counter* cancelled_;
-  Counter* admission_rejects_;
-  Counter* admission_waits_;
-  Counter* planned_;
-  Histogram* latency_interactive_us_;
-  Histogram* latency_batch_us_;
-  Histogram* queue_wait_us_;
+  MetricsRegistry& metrics_ = MetricsRegistry::Global();
+  Gauge* queue_depth_gauge_ = metrics_.GetGauge("service.queue_depth");
+  Gauge* running_gauge_ = metrics_.GetGauge("service.running_queries");
+  Counter* submitted_ = metrics_.GetCounter("service.queries.submitted");
+  Counter* completed_ = metrics_.GetCounter("service.queries.completed");
+  Counter* failed_ = metrics_.GetCounter("service.queries.failed");
+  Counter* cancelled_ = metrics_.GetCounter("service.queries.cancelled");
+  Counter* planned_ = metrics_.GetCounter("service.queries.planned");
+  Counter* admission_rejects_ =
+      metrics_.GetCounter("service.admission_rejects");
+  Counter* admission_waits_ = metrics_.GetCounter("service.admission_waits");
+  Counter* subjoins_ = metrics_.GetCounter("service.shard.subjoins");
+  Counter* stolen_ = metrics_.GetCounter("service.shard.stolen_partitions");
+  Counter* border_filtered_ =
+      metrics_.GetCounter("service.shard.border_filtered");
+  Histogram* latency_interactive_us_ =
+      metrics_.GetHistogram("service.latency_us.interactive");
+  Histogram* latency_batch_us_ =
+      metrics_.GetHistogram("service.latency_us.batch");
+  Histogram* queue_wait_us_ = metrics_.GetHistogram("service.queue_wait_us");
+
+  // Last: the threads use every member above.
+  std::vector<std::thread> workers_;
+  std::thread monitor_;
 };
 
 }  // namespace pbsm

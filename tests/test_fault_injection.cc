@@ -21,7 +21,7 @@
 
 #include "common/metrics.h"
 #include "datagen/tiger_gen.h"
-#include "service/join_router.h"
+#include "service/join_service.h"
 #include "service/shard_manager.h"
 #include "tests/join_test_harness.h"
 #include "tests/test_util.h"
@@ -460,7 +460,7 @@ TEST_F(JoinFaultTest, ParallelJoinReportsFirstRealErrorNotCancellation) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded service: faults on one shard's private DiskManager. The router
+// Sharded service: faults on one shard's private DiskManager. The service
 // must surface the faulty shard's real error (cancelling siblings without
 // letting their kCancelled mask it), retry transient faults away, and keep
 // dead shards outside a window's dispatch set from affecting the query.
@@ -536,7 +536,7 @@ TEST_F(JoinFaultTest, ShardedPermanentFaultOnOneShardCancelsSiblings) {
                             FaultInjector::Parse("seed=11;read=1"));
   env.shards->shard(1).disk->set_fault_injector(injector);
 
-  JoinRouter router(&*env.shards, JoinRouterConfig());
+  JoinService router(&*env.shards, JoinServiceConfig());
   JoinRequest request;
   request.r_dataset = "road";
   request.s_dataset = "hydro";
@@ -581,7 +581,7 @@ TEST_F(JoinFaultTest, ShardedTransientFaultsAreRetriedTransparently) {
                             FaultInjector::Parse("seed=11;read=0.25"));
   env.shards->shard(1).disk->set_fault_injector(injector);
 
-  JoinRouter router(&*env.shards, JoinRouterConfig());
+  JoinService router(&*env.shards, JoinServiceConfig());
   CollectingSink sink;
   JoinRequest request;
   request.r_dataset = "road";
@@ -618,7 +618,7 @@ TEST_F(JoinFaultTest, ShardedFaultOutsideWindowDispatchDoesNotAffectQuery) {
   const Rect window(strip.xlo + margin, strip.ylo, strip.xhi - margin,
                     strip.yhi);
 
-  JoinRouter router(&*env.shards, JoinRouterConfig());
+  JoinService router(&*env.shards, JoinServiceConfig());
   CollectingSink sink;
   JoinRequest request;
   request.r_dataset = "road";

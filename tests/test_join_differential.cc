@@ -18,7 +18,7 @@
 
 #include "common/rng.h"
 #include "datagen/tiger_gen.h"
-#include "service/join_router.h"
+#include "service/join_service.h"
 #include "service/shard_manager.h"
 #include "tests/join_test_harness.h"
 #include "tests/test_util.h"
@@ -196,7 +196,8 @@ TEST_F(JoinDifferentialTest, IndexMethodsMatchOracleAcrossNodeLayouts) {
 /// Runs one request through the router with a thread-safe collecting sink
 /// (router sinks fire concurrently from shard workers) and translates the
 /// emitted GLOBAL oids back into tuple-id space.
-Result<IdPairSet> RunShardedToIdPairs(JoinRouter* router, JoinRequest request,
+Result<IdPairSet> RunShardedToIdPairs(JoinService* router,
+                                      JoinRequest request,
                                       const std::map<uint64_t, uint64_t>& r_ids,
                                       const std::map<uint64_t, uint64_t>& s_ids,
                                       uint64_t* num_results = nullptr) {
@@ -257,12 +258,12 @@ TEST_F(JoinDifferentialTest, ShardedScatterGatherMatchesOracleAcrossShardCounts)
 
       for (const DedupMode dedup : {DedupMode::kTwoLayer, DedupMode::kMerge}) {
         SCOPED_TRACE(DedupModeName(dedup));
-        JoinRouterConfig router_config;
+        JoinServiceConfig router_config;
         router_config.join_defaults.memory_budget_bytes = 1 << 20;
         router_config.join_defaults.num_tiles = c.num_tiles;
         router_config.join_defaults.num_threads = c.num_threads;
         router_config.join_defaults.dedup_mode = dedup;
-        JoinRouter router(&shards, router_config);
+        JoinService router(&shards, router_config);
         int method_index = 0;
         for (const JoinMethod method : AllJoinMethods()) {
           SCOPED_TRACE(JoinMethodName(method));
@@ -322,7 +323,7 @@ TEST_F(JoinDifferentialTest, ShardedBorderStraddlingWindowsMatchOracle) {
     PBSM_ASSERT_OK(shards.RegisterDataset("road", &r.heap, r.info));
     PBSM_ASSERT_OK(shards.RegisterDataset("hydro", &s.heap, s.info));
     const ShardLayout layout = shards.layout();
-    JoinRouter router(&shards, {});
+    JoinService router(&shards, {});
 
     // One window straddling each interior boundary, plus the full universe
     // as a degenerate "window that clips nothing".

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <mutex>
+#include <ostream>
 #include <thread>
 #include <vector>
 
@@ -14,6 +17,14 @@
 
 namespace pbsm {
 namespace {
+
+/// What a service schedules over: the caller's buffer pool (one lane) or a
+/// 4-shard ShardManager (one lane per shard).
+enum class Backing { kPool, kShards };
+
+void PrintTo(Backing backing, std::ostream* os) {
+  *os << (backing == Backing::kPool ? "Pool" : "Shards4");
+}
 
 class JoinServiceTest : public ::testing::Test {
  protected:
@@ -30,10 +41,18 @@ class JoinServiceTest : public ::testing::Test {
   struct Env {
     StorageEnv storage{4096 * kPageSize};
     std::optional<StoredRelation> road, hydro, rail;
+    std::optional<ShardManager> shards;
     std::optional<JoinService> service;
+
+    /// Pinned frames over every pool the service touches.
+    size_t pinned_frames() {
+      return storage.pool()->pinned_frames() +
+             (shards.has_value() ? shards->total_pinned_frames() : 0);
+    }
   };
 
-  void Start(Env* env, JoinServiceConfig config = {}) {
+  void Start(Env* env, JoinServiceConfig config = {},
+             Backing backing = Backing::kPool) {
     auto road = LoadRelation(env->storage.pool(), nullptr, "road", roads_);
     ASSERT_TRUE(road.ok()) << road.status().ToString();
     env->road.emplace(std::move(road).value());
@@ -46,6 +65,18 @@ class JoinServiceTest : public ::testing::Test {
 
     config.join_defaults.memory_budget_bytes = 1 << 20;
     config.join_defaults.num_tiles = 256;
+    if (backing == Backing::kShards) {
+      ShardManagerConfig shard_config;
+      shard_config.num_shards = 4;
+      env->shards.emplace(shard_config);
+      for (const StoredRelation* rel : {&*env->road, &*env->hydro,
+                                        &*env->rail}) {
+        PBSM_ASSERT_OK(env->shards->RegisterDataset(rel->info.name,
+                                                    &rel->heap, rel->info));
+      }
+      env->service.emplace(&*env->shards, config);
+      return;
+    }
     env->service.emplace(env->storage.pool(), config);
     PBSM_ASSERT_OK(env->service->RegisterDataset("road", &env->road->heap,
                                                  env->road->info));
@@ -59,6 +90,19 @@ class JoinServiceTest : public ::testing::Test {
   std::vector<Tuple> hydro_;
   std::vector<Tuple> rail_;
 };
+
+/// Lifecycle tests (timeouts, cancellation, backpressure, shutdown) run
+/// against both backings: the sharded service is the same scheduler.
+class JoinServiceLifecycleTest : public JoinServiceTest,
+                                 public ::testing::WithParamInterface<Backing> {
+ protected:
+  void Start(Env* env, JoinServiceConfig config = {}) {
+    JoinServiceTest::Start(env, config, GetParam());
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(Backings, JoinServiceLifecycleTest,
+                         ::testing::Values(Backing::kPool, Backing::kShards));
 
 TEST_F(JoinServiceTest, ExecutesForcedAndPlannedQueries) {
   Env env;
@@ -191,7 +235,7 @@ TEST_F(JoinServiceTest, ConcurrentProducersMixedMethods) {
   EXPECT_EQ(env.storage.pool()->pinned_frames(), 0u);
 }
 
-TEST_F(JoinServiceTest, TimeoutCancelsMidFlight) {
+TEST_P(JoinServiceLifecycleTest, TimeoutCancelsMidFlight) {
   Env env;
   Start(&env);
   JoinRequest request;
@@ -220,10 +264,10 @@ TEST_F(JoinServiceTest, TimeoutCancelsMidFlight) {
                             env.service->Execute(again));
   EXPECT_GT(after.num_results, 0u);
   env.service->Shutdown(/*drain=*/true);
-  EXPECT_EQ(env.storage.pool()->pinned_frames(), 0u);
+  EXPECT_EQ(env.pinned_frames(), 0u);
 }
 
-TEST_F(JoinServiceTest, ClientCancelIsHonoured) {
+TEST_P(JoinServiceLifecycleTest, ClientCancelIsHonoured) {
   Env env;
   Start(&env);
   JoinRequest request;
@@ -242,7 +286,7 @@ TEST_F(JoinServiceTest, ClientCancelIsHonoured) {
   env.service->Shutdown(/*drain=*/true);
 }
 
-TEST_F(JoinServiceTest, FullQueueRejectsWithResourceExhausted) {
+TEST_P(JoinServiceLifecycleTest, FullQueueRejectsWithResourceExhausted) {
   Env env;
   JoinServiceConfig config;
   config.num_workers = 1;
@@ -275,7 +319,7 @@ TEST_F(JoinServiceTest, FullQueueRejectsWithResourceExhausted) {
 
 // Shutdown(drain) completes every accepted query and leaves the pool with
 // zero pinned frames — the "graceful drain" contract.
-TEST_F(JoinServiceTest, ShutdownDrainCompletesQueuedWork) {
+TEST_P(JoinServiceLifecycleTest, ShutdownDrainCompletesQueuedWork) {
   Env env;
   JoinServiceConfig config;
   config.num_workers = 2;
@@ -303,10 +347,10 @@ TEST_F(JoinServiceTest, ShutdownDrainCompletesQueuedWork) {
   late.s_dataset = "rail";
   EXPECT_EQ(env.service->Submit(late).status().code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_EQ(env.storage.pool()->pinned_frames(), 0u);
+  EXPECT_EQ(env.pinned_frames(), 0u);
 }
 
-TEST_F(JoinServiceTest, AbortShutdownFailsQueuedQueries) {
+TEST_P(JoinServiceLifecycleTest, AbortShutdownFailsQueuedQueries) {
   Env env;
   JoinServiceConfig config;
   config.num_workers = 1;
@@ -331,7 +375,45 @@ TEST_F(JoinServiceTest, AbortShutdownFailsQueuedQueries) {
     }
   }
   EXPECT_GT(cancelled, 0);  // At most one query can have finished first.
-  EXPECT_EQ(env.storage.pool()->pinned_frames(), 0u);
+  EXPECT_EQ(env.pinned_frames(), 0u);
+}
+
+// A draining shutdown keeps enforcing deadlines: a query that passes its
+// timeout while Shutdown(true) waits for it ends kCancelled instead of
+// running to completion, and the drain returns promptly.
+TEST_P(JoinServiceLifecycleTest, TimeoutFiresDuringDrainingShutdown) {
+  Env env;
+  Start(&env);
+  std::atomic<bool> started{false};
+  JoinRequest request;
+  request.r_dataset = "road";
+  request.s_dataset = "hydro";
+  request.method = JoinMethod::kPbsm;
+  request.timeout_seconds = 0.2;
+  // The first pair stalls the join past its deadline; the join observes
+  // the cancel at its next batch boundary.
+  request.sink = [&started](Oid, Oid) {
+    if (!started.exchange(true)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(500));
+    }
+  };
+  PBSM_ASSERT_OK_AND_ASSIGN(const auto query,
+                            env.service->Submit(std::move(request)));
+  while (!started.load() && !query->done()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  const auto start = std::chrono::steady_clock::now();
+  env.service->Shutdown(/*drain=*/true);
+  const double shutdown_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  ASSERT_TRUE(query->done());
+  ASSERT_FALSE(query->Wait().ok()) << "the drain ran the query past its "
+                                      "deadline to completion";
+  EXPECT_EQ(query->Wait().status().code(), StatusCode::kCancelled);
+  EXPECT_LT(shutdown_seconds, 5.0);
+  EXPECT_EQ(env.pinned_frames(), 0u);
 }
 
 TEST_F(JoinServiceTest, WindowFilterRestrictsResults) {

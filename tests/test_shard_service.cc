@@ -1,8 +1,8 @@
 // Sharded service tests: scatter-gather correctness against the
 // single-shard oracle, concurrent multi-client traffic, mid-flight
 // cancellation reaching every shard, graceful drain, whole-query
-// backpressure, and forced-skew straggler mitigation (partition stealing
-// and speculative re-dispatch). Runs under TSan in CI.
+// backpressure, forced-skew partition stealing, and per-shard admission
+// under an oversubscribed burst. Runs under TSan in CI.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +18,7 @@
 #include "common/metrics.h"
 #include "datagen/loader.h"
 #include "datagen/tiger_gen.h"
-#include "service/join_router.h"
+#include "service/join_service.h"
 #include "service/shard_manager.h"
 #include "tests/join_test_harness.h"
 #include "tests/test_util.h"
@@ -67,7 +67,7 @@ class ShardServiceTest : public ::testing::Test {
   /// Executes `request` on the router with a thread-safe collecting sink
   /// (router sinks run concurrently from shard workers) and returns the
   /// pairs in tuple-id space.
-  Result<IdPairSet> RunToIdPairs(JoinRouter* router, Env* env,
+  Result<IdPairSet> RunToIdPairs(JoinService* router, Env* env,
                                  JoinRequest request,
                                  JoinResponse* response_out = nullptr) {
     std::mutex mutex;
@@ -106,7 +106,7 @@ TEST_F(ShardServiceTest, ScatterGatherMatchesOracleForcedAndPlanned) {
   const IdPairSet oracle =
       BruteForceJoin(roads_, hydro_, SpatialPredicate::kIntersects);
 
-  JoinRouter router(&*env.shards, {});
+  JoinService router(&*env.shards, {});
   JoinRequest forced;
   forced.r_dataset = "road";
   forced.s_dataset = "hydro";
@@ -144,9 +144,7 @@ TEST_F(ShardServiceTest, ConcurrentMultiClientScatterGather) {
   const IdPairSet oracle =
       BruteForceJoin(roads_, hydro_, SpatialPredicate::kIntersects);
 
-  JoinRouterConfig config;
-  config.workers_per_shard = 1;
-  JoinRouter router(&*env.shards, config);
+  JoinService router(&*env.shards, {});
 
   constexpr int kClients = 8;
   constexpr int kQueriesPerClient = 3;
@@ -187,7 +185,7 @@ TEST_F(ShardServiceTest, ConcurrentMultiClientScatterGather) {
 TEST_F(ShardServiceTest, MidFlightCancellationReachesAllShards) {
   Env env;
   Start(&env, 4);
-  JoinRouter router(&*env.shards, {});
+  JoinService router(&*env.shards, {});
 
   // The sink blocks the shard workers on their first emitted pair until the
   // main thread has cancelled — guaranteeing the cancel lands mid-flight.
@@ -206,7 +204,7 @@ TEST_F(ShardServiceTest, MidFlightCancellationReachesAllShards) {
     cv.wait_for(lock, std::chrono::seconds(30), [&] { return release; });
   };
 
-  PBSM_ASSERT_OK_AND_ASSIGN(const std::shared_ptr<RouterQuery> query,
+  PBSM_ASSERT_OK_AND_ASSIGN(const std::shared_ptr<JoinQuery> query,
                             router.Submit(std::move(request)));
   {
     std::unique_lock<std::mutex> lock(mutex);
@@ -243,17 +241,15 @@ TEST_F(ShardServiceTest, GracefulDrainCompletesEverythingQueued) {
   const IdPairSet oracle =
       BruteForceJoin(roads_, hydro_, SpatialPredicate::kIntersects);
 
-  JoinRouterConfig config;
-  config.workers_per_shard = 1;
-  JoinRouter router(&*env.shards, config);
+  JoinService router(&*env.shards, {});
 
-  std::vector<std::shared_ptr<RouterQuery>> queries;
+  std::vector<std::shared_ptr<JoinQuery>> queries;
   for (int i = 0; i < 6; ++i) {
     JoinRequest request;
     request.r_dataset = "road";
     request.s_dataset = "hydro";
     request.method = JoinMethod::kPbsm;
-    PBSM_ASSERT_OK_AND_ASSIGN(std::shared_ptr<RouterQuery> query,
+    PBSM_ASSERT_OK_AND_ASSIGN(std::shared_ptr<JoinQuery> query,
                               router.Submit(std::move(request)));
     queries.push_back(std::move(query));
   }
@@ -269,15 +265,15 @@ TEST_F(ShardServiceTest, GracefulDrainCompletesEverythingQueued) {
 TEST_F(ShardServiceTest, AbortShutdownSettlesEveryQuery) {
   Env env;
   Start(&env, 2);
-  JoinRouter router(&*env.shards, {});
+  JoinService router(&*env.shards, {});
 
-  std::vector<std::shared_ptr<RouterQuery>> queries;
+  std::vector<std::shared_ptr<JoinQuery>> queries;
   for (int i = 0; i < 8; ++i) {
     JoinRequest request;
     request.r_dataset = "road";
     request.s_dataset = "hydro";
     request.method = JoinMethod::kPbsm;
-    PBSM_ASSERT_OK_AND_ASSIGN(std::shared_ptr<RouterQuery> query,
+    PBSM_ASSERT_OK_AND_ASSIGN(std::shared_ptr<JoinQuery> query,
                               router.Submit(std::move(request)));
     queries.push_back(std::move(query));
   }
@@ -314,7 +310,7 @@ TEST_F(ShardServiceTest, WindowClippedDispatchRunsOnlyOverlappingShards) {
   const IdPairSet oracle =
       WindowOracle(roads_, hydro_, SpatialPredicate::kIntersects, window);
 
-  JoinRouter router(&*env.shards, {});
+  JoinService router(&*env.shards, {});
   JoinRequest request;
   request.r_dataset = "road";
   request.s_dataset = "hydro";
@@ -332,11 +328,9 @@ TEST_F(ShardServiceTest, WindowClippedDispatchRunsOnlyOverlappingShards) {
 TEST_F(ShardServiceTest, BackpressureRejectsWholeQueryAndRecovers) {
   Env env;
   Start(&env, 2);
-  JoinRouterConfig config;
-  config.workers_per_shard = 1;
+  JoinServiceConfig config;
   config.queue_capacity = 2;
-  config.enable_stealing = false;  // Keep the queues deterministically full.
-  JoinRouter router(&*env.shards, config);
+  JoinService router(&*env.shards, config);
 
   // Block both shard workers mid-query, then fill every queue.
   std::mutex mutex;
@@ -350,18 +344,18 @@ TEST_F(ShardServiceTest, BackpressureRejectsWholeQueryAndRecovers) {
     std::unique_lock<std::mutex> lock(mutex);
     cv.wait_for(lock, std::chrono::seconds(30), [&] { return release; });
   };
-  PBSM_ASSERT_OK_AND_ASSIGN(const std::shared_ptr<RouterQuery> running,
+  PBSM_ASSERT_OK_AND_ASSIGN(const std::shared_ptr<JoinQuery> running,
                             router.Submit(std::move(blocker)));
   // Give the workers a moment to pop the blocker's sub-joins.
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
 
-  std::vector<std::shared_ptr<RouterQuery>> queued;
+  std::vector<std::shared_ptr<JoinQuery>> queued;
   for (int i = 0; i < 2; ++i) {  // queue_capacity per shard.
     JoinRequest request;
     request.r_dataset = "road";
     request.s_dataset = "hydro";
     request.method = JoinMethod::kPbsm;
-    PBSM_ASSERT_OK_AND_ASSIGN(std::shared_ptr<RouterQuery> query,
+    PBSM_ASSERT_OK_AND_ASSIGN(std::shared_ptr<JoinQuery> query,
                               router.Submit(std::move(request)));
     queued.push_back(std::move(query));
   }
@@ -405,19 +399,16 @@ TEST_F(ShardServiceTest, StealingDrainsForcedSkew) {
       MetricsRegistry::Global().GetCounter("service.shard.stolen_partitions");
   const uint64_t stolen_before = stolen->Value();
 
-  JoinRouterConfig config;
-  config.workers_per_shard = 1;
-  config.steal_poll_seconds = 0.001;
-  JoinRouter router(&*env.shards, config);
+  JoinService router(&*env.shards, {});
 
-  std::vector<std::shared_ptr<RouterQuery>> queries;
+  std::vector<std::shared_ptr<JoinQuery>> queries;
   for (int i = 0; i < 16; ++i) {
     JoinRequest request;
     request.r_dataset = "road";
     request.s_dataset = "hydro";
     request.method = JoinMethod::kPbsm;
     request.window = window;
-    PBSM_ASSERT_OK_AND_ASSIGN(std::shared_ptr<RouterQuery> query,
+    PBSM_ASSERT_OK_AND_ASSIGN(std::shared_ptr<JoinQuery> query,
                               router.Submit(std::move(request)));
     queries.push_back(std::move(query));
   }
@@ -435,56 +426,86 @@ TEST_F(ShardServiceTest, StealingDrainsForcedSkew) {
   ExpectZeroPinnedPerShard(env);
 }
 
-TEST_F(ShardServiceTest, SpeculativeRedispatchMovesQueuedStragglers) {
+// Per-shard admission holds under a burst that oversubscribes one shard:
+// every sub-join lands on shard 0, idle workers steal them, and shard 0's
+// budget admits one at a time whichever worker runs it. A road self-join
+// gives every sub-join plenty of pairs to hold its sink busy.
+TEST_F(ShardServiceTest, ShardAdmissionHoldsUnderOversubscribedBurst) {
   Env env;
   Start(&env, 4);
-  const ShardLayout layout = env.shards->layout();
-  const Rect strip = layout.Extent(0);
+  const Rect strip = env.shards->layout().Extent(0);
   const double margin = strip.width() / 8;
   const Rect window(strip.xlo + margin, strip.ylo, strip.xhi - margin,
                     strip.yhi);
   const IdPairSet oracle =
-      WindowOracle(roads_, hydro_, SpatialPredicate::kIntersects, window);
+      WindowOracle(roads_, roads_, SpatialPredicate::kIntersects, window);
+  ASSERT_GT(oracle.size(), 100u);
 
-  Counter* redispatches =
-      MetricsRegistry::Global().GetCounter("service.shard.redispatches");
-  const uint64_t before = redispatches->Value();
+  // A shard's budget is max(memory budget, half its pool): a memory budget
+  // over half the pool admits a single sub-join per shard.
+  JoinServiceConfig config;
+  config.join_defaults.memory_budget_bytes =
+      env.shards->shard(0).pool->pool_bytes() / 2 + 1;
+  JoinService service(&*env.shards, config);
+  Counter* waits =
+      MetricsRegistry::Global().GetCounter("service.admission_waits");
+  const uint64_t waits_before = waits->Value();
 
-  // Stealing off: the only path off the skewed queue is the monitor's
-  // deadline-driven speculative re-dispatch.
-  JoinRouterConfig config;
-  config.workers_per_shard = 1;
-  config.enable_stealing = false;
-  config.speculative_deadline_seconds = 0.002;
-  JoinRouter router(&*env.shards, config);
-
-  std::vector<std::shared_ptr<RouterQuery>> queries;
-  for (int i = 0; i < 12; ++i) {
+  // Sinks only run inside a sub-join, and each one sleeps, so two admitted
+  // sub-joins would overlap in the sink.
+  std::atomic<int> active{0};
+  std::atomic<int> max_active{0};
+  struct Collected {
+    std::mutex mutex;
+    std::vector<std::pair<Oid, Oid>> pairs;
+  };
+  std::vector<Collected> collected(16);
+  std::vector<std::shared_ptr<JoinQuery>> queries;
+  for (Collected& out : collected) {
     JoinRequest request;
     request.r_dataset = "road";
-    request.s_dataset = "hydro";
+    request.s_dataset = "road";
     request.method = JoinMethod::kPbsm;
     request.window = window;
-    PBSM_ASSERT_OK_AND_ASSIGN(std::shared_ptr<RouterQuery> query,
-                              router.Submit(std::move(request)));
+    request.sink = [&active, &max_active, &out](Oid ro, Oid so) {
+      const int now = ++active;
+      int seen = max_active.load();
+      while (now > seen && !max_active.compare_exchange_weak(seen, now)) {
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+      --active;
+      std::lock_guard<std::mutex> lock(out.mutex);
+      out.pairs.emplace_back(ro, so);
+    };
+    PBSM_ASSERT_OK_AND_ASSIGN(std::shared_ptr<JoinQuery> query,
+                              service.Submit(std::move(request)));
     queries.push_back(std::move(query));
   }
-  for (const auto& query : queries) {
-    const Result<JoinResponse>& result = query->Wait();
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const Result<JoinResponse>& result = queries[i]->Wait();
     ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(result->shard_slices.size(), 1u);
+    EXPECT_EQ(result->shard_slices[0].shard, 0u);
+    IdPairSet got;
+    for (const auto& [ro, so] : collected[i].pairs) {
+      got.emplace(env.road_ids.at(ro.Encode()),
+                  env.road_ids.at(so.Encode()));
+    }
+    EXPECT_EQ(got, oracle);
     EXPECT_EQ(result->num_results, oracle.size());
   }
-  EXPECT_GT(redispatches->Value(), before)
-      << "monitor never re-dispatched a queued straggler";
+  EXPECT_EQ(max_active.load(), 1) << "two sub-joins ran on shard 0 at once";
+  EXPECT_GT(waits->Value(), waits_before)
+      << "the burst never waited for shard 0's admission budget";
 
-  router.Shutdown(/*drain=*/true);
+  service.Shutdown(/*drain=*/true);
   ExpectZeroPinnedPerShard(env);
 }
 
 TEST_F(ShardServiceTest, UnknownDatasetAndTimeoutsAreRejected) {
   Env env;
   Start(&env, 2);
-  JoinRouter router(&*env.shards, {});
+  JoinService router(&*env.shards, {});
 
   JoinRequest unknown;
   unknown.r_dataset = "nope";
