@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/crc32.h"
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/trace.h"
@@ -318,22 +319,25 @@ inline void RunReplicationBench(const char* title,
 // calls MarkBenchFailed() before returning non-zero.
 // ---------------------------------------------------------------------------
 
-/// Filter-kernel provenance for the METRICS_JSON blob: which kernel the
+/// Kernel provenance for the METRICS_JSON blob: which filter kernel the
 /// auto dispatcher resolves to on this host, the CPU/build capability bits
-/// behind that decision, and any PBSM_SIMD override in effect. Perf numbers
-/// without this block are unattributable across machines.
+/// behind that decision, any PBSM_SIMD override in effect, and the page
+/// checksum kernel. Perf numbers without this block are unattributable
+/// across machines.
 inline std::string HostInfoJson() {
   const char* env = std::getenv("PBSM_SIMD");
-  const std::string_view kernel = KernelKindName(ResolveKernel(SimdMode::kAuto));
-  char buf[192];
-  std::snprintf(buf, sizeof(buf),
-                "{\"resolved_kernel\":\"%.*s\","
-                "\"avx2_compiled_in\":%s,\"avx2_supported\":%s,"
-                "\"pbsm_simd_env\":\"%s\"}",
-                static_cast<int>(kernel.size()), kernel.data(),
-                Avx2CompiledIn() ? "true" : "false",
-                Avx2Supported() ? "true" : "false", env != nullptr ? env : "");
-  return buf;
+  std::string out = "{\"resolved_kernel\":\"";
+  out += KernelKindName(ResolveKernel(SimdMode::kAuto));
+  out += "\",\"avx2_compiled_in\":";
+  out += Avx2CompiledIn() ? "true" : "false";
+  out += ",\"avx2_supported\":";
+  out += Avx2Supported() ? "true" : "false";
+  out += ",\"pbsm_simd_env\":\"";
+  out += env != nullptr ? env : "";
+  out += "\",\"crc32c_kernel\":\"";
+  out += Crc32cKernelName();
+  out += "\"}";
+  return out;
 }
 
 /// The status the exit-hook blob reports. Sticky: once failed, stays

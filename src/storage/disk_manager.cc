@@ -37,7 +37,6 @@ Result<FileId> DiskManager::OpenNewFile(const std::string& path) {
   FileState state;
   state.fd = fd;
   state.path = path;
-  state.num_pages = 0;
   files_.emplace(id, std::move(state));
   return id;
 }
@@ -62,13 +61,6 @@ Status DiskManager::DeleteFile(FileId file) {
   ::close(it->second.fd);
   ::unlink(it->second.path.c_str());
   files_.erase(it);
-  for (auto cs = page_checksums_.begin(); cs != page_checksums_.end();) {
-    if (cs->first.file == file) {
-      cs = page_checksums_.erase(cs);
-    } else {
-      ++cs;
-    }
-  }
   return Status::OK();
 }
 
@@ -116,11 +108,12 @@ Result<uint32_t> DiskManager::AllocatePage(FileId file) {
         fault_injector_->Decide(FaultOp::kAllocate, PageId{file, 0});
     if (!d.status.ok()) return d.status;
   }
-  const uint32_t page_no = state->num_pages++;
+  const uint32_t page_no = state->num_pages();
+  state->page_checksums.emplace_back();  // Allocated, never written.
   // The page is materialized lazily; ftruncate extends with zeros.
   if (::ftruncate(state->fd,
-                  static_cast<off_t>(state->num_pages) * kPageSize) != 0) {
-    --state->num_pages;
+                  static_cast<off_t>(state->num_pages()) * kPageSize) != 0) {
+    state->page_checksums.pop_back();
     return Status::IoError("ftruncate: " + std::string(std::strerror(errno)));
   }
   return page_no;
@@ -132,7 +125,7 @@ Status DiskManager::ReadPage(PageId id, char* buf) {
   if (state == nullptr) {
     return Status::NotFound("file id " + std::to_string(id.file));
   }
-  if (id.page_no >= state->num_pages) {
+  if (id.page_no >= state->num_pages()) {
     return Status::OutOfRange("page " + std::to_string(id.page_no) +
                               " beyond file end");
   }
@@ -147,12 +140,12 @@ Status DiskManager::ReadPage(PageId id, char* buf) {
   }
   // Verify against the checksum of the last intended write (if any): a
   // mismatch means the medium holds bytes nobody handed to WritePage — a
-  // torn write. Not retryable: re-reading yields the same torn bytes.
-  auto cs = page_checksums_.find(id);
-  if (cs != page_checksums_.end() && Crc32c(buf, kPageSize) != cs->second) {
+  // torn write or bit rot. Not retryable: re-reading yields the same bytes.
+  const std::optional<uint32_t>& expected = state->page_checksums[id.page_no];
+  if (expected.has_value() && Crc32c(buf, kPageSize) != *expected) {
     m_torn_pages_->Add();
     return Status::Corruption(
-        "page checksum mismatch (torn write): file " +
+        "page checksum mismatch (torn write or bit rot): file " +
         std::to_string(id.file) + " page " + std::to_string(id.page_no));
   }
   Account(id, /*is_write=*/false);
@@ -165,7 +158,7 @@ Status DiskManager::WritePage(PageId id, const char* buf) {
   if (state == nullptr) {
     return Status::NotFound("file id " + std::to_string(id.file));
   }
-  if (id.page_no >= state->num_pages) {
+  if (id.page_no >= state->num_pages()) {
     return Status::OutOfRange("page " + std::to_string(id.page_no) +
                               " beyond file end");
   }
@@ -183,7 +176,7 @@ Status DiskManager::WritePage(PageId id, const char* buf) {
   // Record the checksum of the *intended* page contents, torn or not: a
   // torn write reports success (as a crash mid-write would), and the
   // recorded checksum is what later exposes it at read time.
-  page_checksums_[id] = Crc32c(buf, kPageSize);
+  state->page_checksums[id.page_no] = Crc32c(buf, kPageSize);
   Account(id, /*is_write=*/true);
   return Status::OK();
 }
@@ -194,7 +187,7 @@ Result<uint32_t> DiskManager::NumPages(FileId file) const {
   if (state == nullptr) {
     return Status::NotFound("file id " + std::to_string(file));
   }
-  return state->num_pages;
+  return state->num_pages();
 }
 
 Result<uint64_t> DiskManager::FileBytes(FileId file) const {

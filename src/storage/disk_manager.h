@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -138,7 +139,18 @@ class DiskManager {
   struct FileState {
     int fd = -1;
     std::string path;
-    uint32_t num_pages = 0;
+    /// One entry per allocated page: the CRC-32C of the last *intended*
+    /// contents written through WritePage, verified on every ReadPage. A
+    /// mismatch means the on-disk bytes diverged from what the writer
+    /// handed us (a torn write, injected or real, or bit rot) and surfaces
+    /// as Status::Corruption. Pages that were only ftruncate-extended
+    /// (allocated, never written) hold nullopt and are not checked. The
+    /// size is the file's page count.
+    std::vector<std::optional<uint32_t>> page_checksums;
+
+    uint32_t num_pages() const {
+      return static_cast<uint32_t>(page_checksums.size());
+    }
   };
 
   Result<FileId> OpenNewFile(const std::string& path);
@@ -155,13 +167,6 @@ class DiskManager {
   IoStats stats_;
   /// Optional deterministic fault source (see fault_injector.h).
   std::shared_ptr<FaultInjector> fault_injector_;
-  /// CRC-32C of the last *intended* contents of every page written through
-  /// WritePage. Verified on every ReadPage; a mismatch means the on-disk
-  /// bytes diverged from what the writer handed us — a torn write (injected
-  /// or real) — and surfaces as Status::Corruption. Pages that were only
-  /// ftruncate-extended (allocated, never written) have no entry and are
-  /// not checked.
-  std::unordered_map<PageId, uint32_t, PageIdHash> page_checksums_;
   // Last physical page touched on the (single, shared) device.
   PageId last_access_;
   bool has_last_access_ = false;

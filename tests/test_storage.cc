@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "common/crc32.h"
 #include "storage/buffer_pool.h"
 #include "storage/heap_file.h"
 #include "storage/disk_manager.h"
@@ -92,6 +93,55 @@ TEST(DiskManagerTest, DeleteFileRemovesIt) {
   PBSM_ASSERT_OK(env.disk()->DeleteFile(file));
   char buf[kPageSize];
   EXPECT_FALSE(env.disk()->ReadPage(PageId{file, 0}, buf).ok());
+}
+
+// RFC 3720 (iSCSI) appendix B.4 CRC-32C test vectors, plus the classic
+// "123456789" check value.
+TEST(Crc32cTest, KnownAnswers) {
+  const std::string check = "123456789";
+  const std::vector<uint8_t> zeros(32, 0x00);
+  const std::vector<uint8_t> ones(32, 0xff);
+  std::vector<uint8_t> ascending(32);
+  for (size_t i = 0; i < ascending.size(); ++i) {
+    ascending[i] = static_cast<uint8_t>(i);
+  }
+  for (auto* crc : {&Crc32c, &crc32_internal::Crc32cPortable}) {
+    EXPECT_EQ(crc(check.data(), check.size()), 0xE3069283u);
+    EXPECT_EQ(crc(zeros.data(), zeros.size()), 0x8A9136AAu);
+    EXPECT_EQ(crc(ones.data(), ones.size()), 0x62A8AB43u);
+    EXPECT_EQ(crc(ascending.data(), ascending.size()), 0x46DD794Eu);
+    EXPECT_EQ(crc(nullptr, 0), 0u);
+  }
+}
+
+// The hardware kernel folds 8 bytes per step and finishes with a byte tail:
+// every length 0..64, lengths around one page, and every start offset
+// within a word must agree with the byte-table reference.
+TEST(Crc32cTest, HardwareMatchesPortable) {
+#if PBSM_HAVE_SSE42_CRC32C
+  if (!crc32_internal::HardwareCrc32cSupported()) {
+    GTEST_SKIP() << "CPU lacks SSE4.2; only the portable kernel runs here";
+  }
+  std::vector<uint8_t> buf(kPageSize + 16);
+  for (size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<uint8_t>(i * 131 + (i >> 8) * 7);
+  }
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 64; ++n) lengths.push_back(n);
+  lengths.insert(lengths.end(), {kPageSize - 1, kPageSize, kPageSize + 1});
+  for (size_t offset = 0; offset <= 7; ++offset) {
+    for (const size_t n : lengths) {
+      SCOPED_TRACE("offset " + std::to_string(offset) + " length " +
+                   std::to_string(n));
+      const uint8_t* p = buf.data() + offset;
+      EXPECT_EQ(crc32_internal::Crc32cSse42(p, n),
+                crc32_internal::Crc32cPortable(p, n));
+      EXPECT_EQ(Crc32c(p, n), crc32_internal::Crc32cPortable(p, n));
+    }
+  }
+#else
+  GTEST_SKIP() << "no SSE4.2 CRC-32C kernel on this architecture";
+#endif
 }
 
 TEST(BufferPoolTest, CachesPages) {
