@@ -157,11 +157,15 @@ void BM_GeometryParse(benchmark::State& state) {
   const Geometry g = RandomPolyline(&rng, 19);
   std::string buf;
   g.AppendTo(&buf);
+  GeometryBuffer scratch;
+  GeometryView view;
   for (auto _ : state) {
     size_t consumed;
-    auto parsed = Geometry::Parse(
-        reinterpret_cast<const uint8_t*>(buf.data()), buf.size(), &consumed);
-    benchmark::DoNotOptimize(parsed);
+    scratch.clear();
+    benchmark::DoNotOptimize(
+        ParseGeometryView(reinterpret_cast<const uint8_t*>(buf.data()),
+                          buf.size(), &scratch, &view, &consumed));
+    benchmark::DoNotOptimize(view);
   }
 }
 BENCHMARK(BM_GeometryParse);

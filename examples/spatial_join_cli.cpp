@@ -4,7 +4,7 @@
 // One-shot join:
 //   ./examples/spatial_join_cli R.wkt S.wkt [intersects|contains]
 //                               [pbsm|parallel_pbsm|rtree|inl|spatial_hash|zorder|auto]
-//                               [--refine-mode=exact|adaptive|approximate]
+//                               [--refine-mode=exact|adaptive]
 //                               [--fault-profile=SPEC] [--shards=N]
 //                               [--explain]
 //
@@ -82,7 +82,7 @@ void PrintUsage(std::FILE* out) {
       "usage: spatial_join_cli R.wkt S.wkt [intersects|contains]\n"
       "                        [pbsm|parallel_pbsm|rtree|inl|spatial_hash|"
       "zorder|auto]\n"
-      "                        [--refine-mode=exact|adaptive|approximate]\n"
+      "                        [--refine-mode=exact|adaptive]\n"
       "                        [--fault-profile=SPEC] [--shards=N] "
       "[--explain]\n"
       "       spatial_join_cli serve R.wkt S.wkt [--workers=N] [--queue=N]\n"

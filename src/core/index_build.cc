@@ -29,8 +29,8 @@ Result<std::vector<RTreeEntry>> ExtractKeyPointers(const HeapFile& heap) {
   entries.reserve(heap.num_records());
   const Status s =
       heap.Scan([&](Oid oid, const char* data, size_t size) -> Status {
-        PBSM_ASSIGN_OR_RETURN(const Tuple tuple, Tuple::Parse(data, size));
-        entries.push_back(RTreeEntry{tuple.geometry.Mbr(), oid.Encode()});
+        PBSM_ASSIGN_OR_RETURN(const Rect mbr, ParseTupleMbr(data, size));
+        entries.push_back(RTreeEntry{mbr, oid.Encode()});
         return Status::OK();
       });
   if (!s.ok()) return s;
@@ -53,8 +53,8 @@ Result<RStarTree> BuildIndexByBulkLoad(BufferPool* pool,
   if (universe.empty()) {
     PBSM_RETURN_IF_ERROR(input.heap->Scan(
         [&](Oid, const char* data, size_t size) -> Status {
-          PBSM_ASSIGN_OR_RETURN(const Tuple tuple, Tuple::Parse(data, size));
-          universe.Expand(tuple.geometry.Mbr());
+          PBSM_ASSIGN_OR_RETURN(const Rect mbr, ParseTupleMbr(data, size));
+          universe.Expand(mbr);
           return Status::OK();
         }));
   }
@@ -69,8 +69,8 @@ Result<RStarTree> BuildIndexByBulkLoad(BufferPool* pool,
     bool first = true;
     PBSM_RETURN_IF_ERROR(input.heap->Scan(
         [&](Oid, const char* data, size_t size) -> Status {
-          PBSM_ASSIGN_OR_RETURN(const Tuple tuple, Tuple::Parse(data, size));
-          const uint64_t key = curve.Key(tuple.geometry.Mbr());
+          PBSM_ASSIGN_OR_RETURN(const Rect mbr, ParseTupleMbr(data, size));
+          const uint64_t key = curve.Key(mbr);
           if (!first && key < prev_key) already_sorted = false;
           prev_key = key;
           first = false;
@@ -88,9 +88,9 @@ Result<RStarTree> BuildIndexByBulkLoad(BufferPool* pool,
           Oid oid;
           PBSM_ASSIGN_OR_RETURN(const bool has, cursor.Next(&oid, &record));
           if (!has) return false;
-          PBSM_ASSIGN_OR_RETURN(const Tuple tuple,
-                                Tuple::Parse(record.data(), record.size()));
-          *out = RTreeEntry{tuple.geometry.Mbr(), oid.Encode()};
+          PBSM_ASSIGN_OR_RETURN(const Rect mbr,
+                                ParseTupleMbr(record.data(), record.size()));
+          *out = RTreeEntry{mbr, oid.Encode()};
           return true;
         },
         fill_factor, layout);
@@ -103,10 +103,10 @@ Result<RStarTree> BuildIndexByBulkLoad(BufferPool* pool,
                                                KeyedLess{});
   PBSM_RETURN_IF_ERROR(input.heap->Scan(
       [&](Oid oid, const char* data, size_t size) -> Status {
-        PBSM_ASSIGN_OR_RETURN(const Tuple tuple, Tuple::Parse(data, size));
+        PBSM_ASSIGN_OR_RETURN(const Rect mbr, ParseTupleMbr(data, size));
         KeyedEntry keyed;
-        keyed.key = curve.Key(tuple.geometry.Mbr());
-        keyed.entry = RTreeEntry{tuple.geometry.Mbr(), oid.Encode()};
+        keyed.key = curve.Key(mbr);
+        keyed.entry = RTreeEntry{mbr, oid.Encode()};
         return sorter.Add(keyed);
       }));
   PBSM_RETURN_IF_ERROR(sorter.Finish());
@@ -128,8 +128,8 @@ Result<RStarTree> BuildIndexByInserts(BufferPool* pool,
   PBSM_ASSIGN_OR_RETURN(RStarTree tree, RStarTree::Create(pool, index_name));
   PBSM_RETURN_IF_ERROR(input.heap->Scan(
       [&](Oid oid, const char* data, size_t size) -> Status {
-        PBSM_ASSIGN_OR_RETURN(const Tuple tuple, Tuple::Parse(data, size));
-        return tree.Insert(tuple.geometry.Mbr(), oid.Encode());
+        PBSM_ASSIGN_OR_RETURN(const Rect mbr, ParseTupleMbr(data, size));
+        return tree.Insert(mbr, oid.Encode());
       }));
   return tree;
 }

@@ -53,11 +53,9 @@ Status InlFilter(BufferPool* pool, const JoinInput& indexed,
             Tracer::Global().FlushOpenSpans();
             return opts.cancel->CancellationStatus();
           }
-          PBSM_ASSIGN_OR_RETURN(const Tuple p_tuple,
-                                Tuple::Parse(data, size));
+          PBSM_ASSIGN_OR_RETURN(const Rect p_mbr, ParseTupleMbr(data, size));
           hits.clear();
-          PBSM_RETURN_IF_ERROR(
-              index->WindowQuery(p_tuple.geometry.Mbr(), &hits, opts.simd));
+          PBSM_RETURN_IF_ERROR(index->WindowQuery(p_mbr, &hits, opts.simd));
           breakdown->candidates += hits.size();
           for (const uint64_t i_encoded : hits) {
             buf.push_back(emit_indexed_first

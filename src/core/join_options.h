@@ -95,8 +95,8 @@ struct JoinOptions {
 /// unhandled new predicate) aborts instead of silently returning false and
 /// dropping result pairs.
 [[nodiscard]] inline bool EvaluatePredicate(SpatialPredicate pred,
-                                            const Geometry& r,
-                                            const Geometry& s,
+                                            const GeometryView& r,
+                                            const GeometryView& s,
                                             SegmentTestMode mode) {
   switch (pred) {
     case SpatialPredicate::kIntersects:

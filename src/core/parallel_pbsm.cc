@@ -160,14 +160,14 @@ static Result<ParallelPbsmReport> SimulateParallelPbsmImpl(
     if (options.replicate_full_objects) {
       PBSM_RETURN_IF_ERROR(inputs[w].r_heap->Scan(
           [&](Oid oid, const char* data, size_t size) -> Status {
-            PBSM_ASSIGN_OR_RETURN(const Tuple t, Tuple::Parse(data, size));
-            r_kps.push_back(KeyPointer{t.geometry.Mbr(), oid.Encode()});
+            PBSM_ASSIGN_OR_RETURN(const Rect mbr, ParseTupleMbr(data, size));
+            r_kps.push_back(KeyPointer{mbr, oid.Encode()});
             return Status::OK();
           }));
       PBSM_RETURN_IF_ERROR(inputs[w].s_heap->Scan(
           [&](Oid oid, const char* data, size_t size) -> Status {
-            PBSM_ASSIGN_OR_RETURN(const Tuple t, Tuple::Parse(data, size));
-            s_kps.push_back(KeyPointer{t.geometry.Mbr(), oid.Encode()});
+            PBSM_ASSIGN_OR_RETURN(const Rect mbr, ParseTupleMbr(data, size));
+            s_kps.push_back(KeyPointer{mbr, oid.Encode()});
             return Status::OK();
           }));
     } else {

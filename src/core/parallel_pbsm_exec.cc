@@ -100,9 +100,9 @@ Status ScanRangeIntoClassedBuffers(const HeapFile& heap, uint32_t first,
         if (cancel.is_cancelled()) {
           return Status::Cancelled("sibling scan task failed");
         }
-        PBSM_ASSIGN_OR_RETURN(const Tuple tuple, Tuple::Parse(data, size));
+        PBSM_ASSIGN_OR_RETURN(const Rect mbr, ParseTupleMbr(data, size));
         ClassedKeyPointer ckp;
-        ckp.mbr = tuple.geometry.Mbr();
+        ckp.mbr = mbr;
         ckp.oid = oid.Encode();
         targets.clear();
         part.ClassifyTiles(ckp.mbr, &targets);

@@ -25,8 +25,8 @@ Status PartitionInput(const HeapFile& heap, const SpatialPartitioner& part,
                       std::vector<SpoolFile>* spools, uint64_t* replicated) {
   std::vector<uint32_t> targets;
   return heap.Scan([&](Oid oid, const char* data, size_t size) -> Status {
-    PBSM_ASSIGN_OR_RETURN(const Tuple tuple, Tuple::Parse(data, size));
-    const KeyPointer kp{tuple.geometry.Mbr(), oid.Encode()};
+    PBSM_ASSIGN_OR_RETURN(const Rect mbr, ParseTupleMbr(data, size));
+    const KeyPointer kp{mbr, oid.Encode()};
     targets.clear();
     part.PartitionsFor(kp.mbr, &targets);
     *replicated += targets.size() - 1;
@@ -50,8 +50,8 @@ Status PartitionInputClassed(const HeapFile& heap,
   uint64_t class_counts[4] = {0, 0, 0, 0};
   const Status st =
       heap.Scan([&](Oid oid, const char* data, size_t size) -> Status {
-        PBSM_ASSIGN_OR_RETURN(const Tuple tuple, Tuple::Parse(data, size));
-        ClassedKeyPointer ckp{tuple.geometry.Mbr(), oid.Encode(), 0, 0};
+        PBSM_ASSIGN_OR_RETURN(const Rect mbr, ParseTupleMbr(data, size));
+        ClassedKeyPointer ckp{mbr, oid.Encode(), 0, 0};
         targets.clear();
         part.ClassifyTiles(ckp.mbr, &targets);
         *replicated += targets.size() - 1;

@@ -15,10 +15,13 @@ namespace pbsm {
 
 namespace {
 
-/// An R tuple held in memory for one refinement block.
+/// An R tuple held in memory for one refinement block. Its geometry view
+/// points into the block arena and lives exactly as long as the block.
 struct BlockTuple {
   uint64_t oid = 0;
-  Geometry geometry;
+  GeometryView geometry;
+  size_t first_point = 0;  // Offsets of the geometry in the block arena.
+  size_t first_ring = 0;
   size_t bytes = 0;  // Serialized size, for budget accounting.
   // Lazily computed MER (containment pre-filter). nullopt = not computed.
   std::optional<Rect> mer;
@@ -42,7 +45,6 @@ struct RefineStats {
   uint64_t true_hits = 0;       ///< Certain hits from interior cell overlap.
   uint64_t cell_rejects = 0;    ///< Certain misses from disjoint covers.
   uint64_t exact_fallbacks = 0; ///< Boundary collisions sent to pass 2.
-  uint64_t approx_accepted = 0; ///< Approximate-mode uncertain accepts.
   uint64_t cover_builds = 0;    ///< S covers rasterized (one per long run).
 
   void Flush() const {
@@ -62,24 +64,22 @@ struct RefineStats {
         MetricsRegistry::Global().GetCounter("refinement.skipped_exact");
     static Counter* const fallback_counter =
         MetricsRegistry::Global().GetCounter("refinement.exact_fallbacks");
-    static Counter* const approx_counter =
-        MetricsRegistry::Global().GetCounter("refinement.approx_accepted");
     static Counter* const build_counter =
         MetricsRegistry::Global().GetCounter("refinement.cover_builds");
     true_positives->Add(tp);
     false_positives->Add(fp);
     true_hit_counter->Add(true_hits);
     cell_reject_counter->Add(cell_rejects);
-    skipped_counter->Add(true_hits + cell_rejects + approx_accepted);
+    skipped_counter->Add(true_hits + cell_rejects);
     fallback_counter->Add(exact_fallbacks);
-    approx_counter->Add(approx_accepted);
     build_counter->Add(cover_builds);
   }
 };
 
 /// Reads sorted candidate pairs into memory-budget-sized blocks of R tuples
 /// plus their pairs, honouring the block-boundary push-back. R tuples are
-/// parsed straight from the pinned page; the current R page stays pinned
+/// parsed straight from the pinned page into one flat arena reused across
+/// blocks (allocation-free once warm); the current R page stays pinned
 /// until an OID on another page arrives.
 class BlockReader {
  public:
@@ -88,11 +88,13 @@ class BlockReader {
       : next_(next), r_heap_(r_heap), opts_(opts) {}
 
   /// Fills one block; returns false when the stream is exhausted and no
-  /// pairs remain. On true, `pairs` is non-empty and indexes `r_tuples`.
+  /// pairs remain. On true, `pairs` is non-empty and indexes `r_tuples`,
+  /// whose views stay valid until the next call.
   Result<bool> NextBlock(std::vector<BlockTuple>* r_tuples,
                          std::vector<BlockPair>* pairs) {
     r_tuples->clear();
     pairs->clear();
+    arena_.clear();
     size_t block_bytes = 0;
     while (true) {
       OidPair pair;
@@ -111,10 +113,13 @@ class BlockReader {
         size_t size = 0;
         PBSM_RETURN_IF_ERROR(
             r_heap_.FetchView(Oid::Decode(pair.r), &page_, &data, &size));
-        PBSM_ASSIGN_OR_RETURN(Tuple tuple, Tuple::Parse(data, size));
         BlockTuple bt;
+        bt.first_point = arena_.points.size();
+        bt.first_ring = arena_.ring_ends.size();
+        TupleView tuple;
+        PBSM_RETURN_IF_ERROR(ParseTupleView(data, size, &arena_, &tuple));
         bt.oid = pair.r;
-        bt.geometry = std::move(tuple.geometry);
+        bt.geometry = tuple.geometry;
         if (!tuple.mer.empty()) bt.mer = tuple.mer;  // Stored MER (BKSS94).
         bt.bytes = size;
         block_bytes += bt.bytes;
@@ -123,6 +128,14 @@ class BlockReader {
       pairs->push_back(BlockPair{r_tuples->size() - 1, pair.s});
       block_bytes += sizeof(BlockPair);
       if (block_bytes >= opts_.memory_budget_bytes) break;
+    }
+    // The arena may have moved while it grew: re-point every view at it.
+    for (BlockTuple& bt : *r_tuples) {
+      const GeometryView& g = bt.geometry;
+      bt.geometry = GeometryView(
+          g.type(), g.Mbr(), {arena_.points.data() + bt.first_point,
+                              g.points().size()},
+          {arena_.ring_ends.data() + bt.first_ring, g.num_rings()});
     }
     return !pairs->empty();
   }
@@ -144,11 +157,13 @@ class BlockReader {
   OidPair pushed_back_{};
   bool pending_ = false;  // `pushed_back_` holds an unconsumed pair.
   PageHandle page_;       // Page-run cursor over the R heap.
+  GeometryBuffer arena_;  // The block's R geometries, back to back.
 };
 
 /// Fetches S tuples through a one-entry cache: pairs arrive sorted on
 /// OID_S, so runs of the same S tuple parse once, and runs of the same S
-/// page pin it once (parsing straight from the pinned bytes).
+/// page pin it once (parsing straight from the pinned bytes). The S view
+/// lives for its run, in one scratch buffer reused by every load.
 class CachedSFetcher {
  public:
   explicit CachedSFetcher(const HeapFile& s_heap) : s_heap_(s_heap) {}
@@ -159,18 +174,20 @@ class CachedSFetcher {
     size_t size = 0;
     PBSM_RETURN_IF_ERROR(
         s_heap_.FetchView(Oid::Decode(s_oid), &page_, &data, &size));
-    PBSM_ASSIGN_OR_RETURN(Tuple tuple, Tuple::Parse(data, size));
-    geometry_ = std::move(tuple.geometry);
+    scratch_.clear();
+    oid_ = ~0ull;  // A failed parse leaves no valid view behind.
+    PBSM_RETURN_IF_ERROR(ParseTupleView(data, size, &scratch_, &tuple_));
     oid_ = s_oid;
     return Status::OK();
   }
 
-  const Geometry& geometry() const { return geometry_; }
+  const GeometryView& geometry() const { return tuple_.geometry; }
 
  private:
   const HeapFile& s_heap_;
   uint64_t oid_ = ~0ull;
-  Geometry geometry_;
+  GeometryBuffer scratch_;
+  TupleView tuple_;
   PageHandle page_;  // Page-run cursor over the S heap.
 };
 
@@ -178,7 +195,7 @@ class CachedSFetcher {
 /// containment. Uses the MER stored with the tuple when the relation was
 /// loaded with precompute_mers; otherwise computes (and caches) one per
 /// block.
-bool ExactPairTest(BlockTuple* rt, const Geometry& s_geometry,
+bool ExactPairTest(BlockTuple* rt, const GeometryView& s_geometry,
                    SpatialPredicate pred, const JoinOptions& opts) {
   if (pred == SpatialPredicate::kContains && opts.use_mer_filter &&
       rt->geometry.type() == GeometryType::kPolygon) {
@@ -192,13 +209,28 @@ bool ExactPairTest(BlockTuple* rt, const Geometry& s_geometry,
                            opts.refinement_mode);
 }
 
-/// The classic single-pass loop: every pair pays the exact test.
-Status ExactRefineLoop(const SortedPairStream& next, const HeapFile& r_heap,
-                       const HeapFile& s_heap, SpatialPredicate pred,
-                       const JoinOptions& opts, const ResultSink& sink,
-                       JoinCostBreakdown* breakdown, RefineStats* stats) {
-  BlockReader reader(next, r_heap, opts);
-  CachedSFetcher s_fetch(s_heap);
+/// The refine loop. The block's pairs, swizzle-sorted on OID_S, form one
+/// run per S tuple, parsed once. Exact mode tests every pair exactly. In
+/// adaptive mode an S cover's whole useful life is its run: each run
+/// rasterizes the live S view into one scratch cover whose vectors keep
+/// their capacity across runs, and boundary collisions fall back to the
+/// exact predicate inline, while the parsed S geometry is in hand.
+Status RefineLoop(const SortedPairStream& next, const JoinInput& r,
+                  const JoinInput& s, SpatialPredicate pred,
+                  const JoinOptions& opts, const ResultSink& sink,
+                  JoinCostBreakdown* breakdown, RefineStats* stats) {
+  const Rect universe = Rect::Union(r.info.universe, s.info.universe);
+  const double avg_x =
+      (r.info.avg_mbr_width() + s.info.avg_mbr_width()) / 2.0;
+  const double avg_y =
+      (r.info.avg_mbr_height() + s.info.avg_mbr_height()) / 2.0;
+  const std::unique_ptr<RefinementEngine> engine =
+      RefinementEngine::Create(pred, opts.refine, universe, avg_x, avg_y);
+  const bool adaptive = engine != nullptr;
+
+  BlockReader reader(next, *r.heap, opts);
+  CachedSFetcher s_fetch(*s.heap);
+  CellCover s_cover;  // Run-scoped scratch; capacities persist across runs.
   std::vector<BlockTuple> r_tuples;
   std::vector<BlockPair> pairs;
   while (true) {
@@ -217,128 +249,55 @@ Status ExactRefineLoop(const SortedPairStream& next, const HeapFile& r_heap,
                 return a.s_oid < b.s_oid;
               });
 
-    for (const BlockPair& bp : pairs) {
-      // Small blocks make the boundary check above too coarse: a timeout
-      // arriving while results stream to a slow sink must still cancel the
-      // query before the block finishes.
-      if (opts.cancel != nullptr && opts.cancel->is_cancelled()) {
-        return opts.cancel->CancellationStatus();
+    // ---- One run of equal-OID_S pairs at a time. Adaptive mode classifies
+    // at cell level; each S tuple's pair multiplicity is known before its
+    // cover exists, so a run too short to amortize the O(boundary length)
+    // rasterization skips the cell filter and pays the exact predicate
+    // directly — the cost-based side of the adaptive engine. ----
+    std::optional<TraceSpan> span;
+    if (adaptive) span.emplace("refine/cell_filter");
+    const size_t min_run =
+        adaptive ? std::max<uint32_t>(opts.refine.min_cover_pairs, 1)
+                 : SIZE_MAX;
+    for (size_t i = 0; i < pairs.size();) {
+      size_t j = i + 1;
+      while (j < pairs.size() && pairs[j].s_oid == pairs[i].s_oid) ++j;
+      PBSM_RETURN_IF_ERROR(s_fetch.Load(pairs[i].s_oid));
+      const bool use_cover = j - i >= min_run;
+      if (use_cover) {
+        engine->BuildCover(s_fetch.geometry(), &s_cover);
+        ++stats->cover_builds;
+      } else if (adaptive) {
+        // Short run: exact tests cost less than the build.
+        stats->exact_fallbacks += j - i;
       }
-      PBSM_RETURN_IF_ERROR(s_fetch.Load(bp.s_oid));
-      BlockTuple& rt = r_tuples[bp.r_index];
-      if (ExactPairTest(&rt, s_fetch.geometry(), pred, opts)) {
-        ++stats->tp;
-        ++breakdown->results;
-        if (sink) sink(Oid::Decode(rt.oid), Oid::Decode(bp.s_oid));
-      } else {
-        ++stats->fp;
-      }
-    }
-  }
-  return Status::OK();
-}
-
-/// The adaptive loop. The block's pairs, swizzle-sorted on OID_S, form one
-/// contiguous run per S tuple — so an S cover's entire useful life is its
-/// run. Each run rasterizes the (just-fetched, still-live) S geometry into
-/// a single scratch cover whose vectors keep their capacity across runs:
-/// no per-S allocation, no cover cache to size or thrash, and boundary
-/// collisions fall back to the exact predicate inline, while the parsed S
-/// geometry is still in hand.
-Status AdaptiveRefineLoop(const SortedPairStream& next, const JoinInput& r,
-                          const JoinInput& s, SpatialPredicate pred,
-                          const JoinOptions& opts, const ResultSink& sink,
-                          JoinCostBreakdown* breakdown, RefineStats* stats) {
-  const Rect universe = Rect::Union(r.info.universe, s.info.universe);
-  const double avg_x =
-      (r.info.avg_mbr_width() + s.info.avg_mbr_width()) / 2.0;
-  const double avg_y =
-      (r.info.avg_mbr_height() + s.info.avg_mbr_height()) / 2.0;
-  const std::unique_ptr<RefinementEngine> engine =
-      RefinementEngine::Create(pred, opts.refine, universe, avg_x, avg_y);
-  const bool emit_accepts = opts.refine.mode == RefineMode::kApproximate;
-
-  BlockReader reader(next, *r.heap, opts);
-  CachedSFetcher s_fetch(*s.heap);
-  CellCover s_cover;  // Run-scoped scratch; capacities persist across runs.
-  std::vector<BlockTuple> r_tuples;
-  std::vector<BlockPair> pairs;
-  while (true) {
-    if (opts.cancel != nullptr && opts.cancel->is_cancelled()) {
-      return opts.cancel->CancellationStatus();
-    }
-    PBSM_ASSIGN_OR_RETURN(const bool has, reader.NextBlock(&r_tuples, &pairs));
-    if (!has) break;
-
-    std::sort(pairs.begin(), pairs.end(),
-              [](const BlockPair& a, const BlockPair& b) {
-                return a.s_oid < b.s_oid;
-              });
-
-    // ---- Cell-level classification, one run of equal-OID_S pairs at a
-    // time (the swizzle sort groups them). Each S tuple's pair multiplicity
-    // is known before its cover exists: a run too short to amortize the
-    // O(boundary length) rasterization skips the cell filter and pays the
-    // exact predicate directly — the cost-based side of the adaptive
-    // engine. Boundary collisions (kNeedExact) run the exact predicate on
-    // the spot: the S geometry is already parsed, so deferring them would
-    // only buy a second fetch. ----
-    {
-      TraceSpan span("refine/cell_filter");
-      const size_t min_run = std::max<uint32_t>(opts.refine.min_cover_pairs, 1);
-      for (size_t i = 0; i < pairs.size();) {
-        size_t j = i + 1;
-        while (j < pairs.size() && pairs[j].s_oid == pairs[i].s_oid) ++j;
-        const uint64_t s_oid = pairs[i].s_oid;
-        PBSM_RETURN_IF_ERROR(s_fetch.Load(s_oid));
-        const bool use_cover = j - i >= min_run;
-        if (use_cover) {
-          engine->BuildCover(s_fetch.geometry(), &s_cover);
-          ++stats->cover_builds;
-        } else {
-          // Short run: exact tests cost less than the build.
-          stats->exact_fallbacks += j - i;
+      for (; i < j; ++i) {
+        // Small blocks make the boundary check above too coarse: a timeout
+        // arriving while results stream to a slow sink must still cancel
+        // the query before the block finishes.
+        if (opts.cancel != nullptr && opts.cancel->is_cancelled()) {
+          return opts.cancel->CancellationStatus();
         }
-        for (; i < j; ++i) {
-          if (opts.cancel != nullptr && opts.cancel->is_cancelled()) {
-            return opts.cancel->CancellationStatus();
-          }
-          const BlockPair& bp = pairs[i];
-          BlockTuple& rt = r_tuples[bp.r_index];
-          CellDecision cd = CellDecision::kNeedExact;
-          if (use_cover) {
-            cd = engine->Classify(rt.geometry, &rt.cover, s_fetch.geometry(),
-                                  s_cover);
-            if (cd == CellDecision::kNeedExact) ++stats->exact_fallbacks;
-          }
-          switch (cd) {
-            case CellDecision::kHit:
-              ++stats->true_hits;
-              ++stats->tp;
-              ++breakdown->results;
-              if (sink) sink(Oid::Decode(rt.oid), Oid::Decode(bp.s_oid));
-              break;
-            case CellDecision::kAccepted:
-              PBSM_CHECK(emit_accepts) << "kAccepted outside approximate mode";
-              ++stats->approx_accepted;
-              ++stats->tp;
-              ++breakdown->results;
-              if (sink) sink(Oid::Decode(rt.oid), Oid::Decode(bp.s_oid));
-              break;
-            case CellDecision::kMiss:
-              ++stats->cell_rejects;
-              ++stats->fp;
-              break;
-            case CellDecision::kNeedExact:
-              if (ExactPairTest(&rt, s_fetch.geometry(), pred, opts)) {
-                ++stats->tp;
-                ++breakdown->results;
-                if (sink) sink(Oid::Decode(rt.oid), Oid::Decode(bp.s_oid));
-              } else {
-                ++stats->fp;
-              }
-              break;
-          }
+        const BlockPair& bp = pairs[i];
+        BlockTuple& rt = r_tuples[bp.r_index];
+        CellDecision cd = CellDecision::kNeedExact;
+        if (use_cover) {
+          cd = engine->Classify(rt.geometry, &rt.cover, s_fetch.geometry(),
+                                s_cover);
+          if (cd == CellDecision::kNeedExact) ++stats->exact_fallbacks;
+        }
+        bool hit = cd == CellDecision::kHit;
+        if (cd == CellDecision::kNeedExact) {
+          hit = ExactPairTest(&rt, s_fetch.geometry(), pred, opts);
+        } else {
+          ++(hit ? stats->true_hits : stats->cell_rejects);
+        }
+        if (hit) {
+          ++stats->tp;
+          ++breakdown->results;
+          if (sink) sink(Oid::Decode(rt.oid), Oid::Decode(bp.s_oid));
+        } else {
+          ++stats->fp;
         }
       }
     }
@@ -354,11 +313,7 @@ Status RefinePairStream(const SortedPairStream& next, const JoinInput& r,
                         JoinCostBreakdown* breakdown) {
   RefineStats stats;
   const Status status =
-      opts.refine.mode == RefineMode::kExact
-          ? ExactRefineLoop(next, *r.heap, *s.heap, pred, opts, sink,
-                            breakdown, &stats)
-          : AdaptiveRefineLoop(next, r, s, pred, opts, sink, breakdown,
-                               &stats);
+      RefineLoop(next, r, s, pred, opts, sink, breakdown, &stats);
   stats.Flush();
   return status;
 }

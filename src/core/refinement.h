@@ -28,9 +28,11 @@ using SortedPairStream = std::function<Result<bool>(OidPair*)>;
 /// in OID order, per-block re-sort on OID_S ("swizzling"), sequential S
 /// fetches, exact predicate evaluation. Updates breakdown->results only.
 ///
-/// Tuples are parsed in place from page-run pins (HeapFile::FetchView):
-/// between fetches the stream holds at most two pins, its current R page
-/// and its current S page, and releases both when it returns.
+/// Tuples are parsed from page-run pins (HeapFile::FetchView) into flat
+/// geometry views — R views into a block arena, the S view into a per-stream
+/// scratch — so refinement allocates nothing per tuple once warm. Between
+/// fetches the stream holds at most two pins, its current R page and its
+/// current S page, and releases both when it returns.
 ///
 /// With opts.refine.mode != kExact the block loop is driven by the query's
 /// RefinementEngine ("refine/cell_filter" trace sub-span): each run of

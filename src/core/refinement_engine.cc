@@ -18,8 +18,6 @@ const char* RefineModeName(RefineMode mode) {
       return "exact";
     case RefineMode::kAdaptive:
       return "adaptive";
-    case RefineMode::kApproximate:
-      return "approximate";
   }
   PBSM_CHECK(false) << "unknown RefineMode " << static_cast<int>(mode);
 }
@@ -27,9 +25,8 @@ const char* RefineModeName(RefineMode mode) {
 Result<RefineMode> ParseRefineMode(const std::string& name) {
   if (name == "exact") return RefineMode::kExact;
   if (name == "adaptive") return RefineMode::kAdaptive;
-  if (name == "approximate" || name == "approx") return RefineMode::kApproximate;
   return Status::InvalidArgument("unknown refine mode '" + name +
-                                 "' (expected exact|adaptive|approximate)");
+                                 "' (expected exact|adaptive)");
 }
 
 // ---------------------------------------------------------------------------
@@ -107,7 +104,7 @@ void FillAllCells(CellCover* cover, uint32_t nx, uint32_t ny) {
 
 }  // namespace
 
-void RasterizeGeometry(const Geometry& geometry, const CellGrid& grid,
+void RasterizeGeometry(const GeometryView& geometry, const CellGrid& grid,
                        uint32_t max_cells, CellCover* cover, bool build_runs,
                        bool build_rects, bool build_buckets) {
   cover->built = true;
@@ -115,7 +112,6 @@ void RasterizeGeometry(const Geometry& geometry, const CellGrid& grid,
   cover->geom_type = geometry.type();
   cover->runs.clear();
   cover->rects.clear();
-  cover->ring_seg_off.clear();
   cover->bucket_off.clear();
   cover->bucket_seg.clear();
   cover->interior_bits.clear();
@@ -186,33 +182,24 @@ void RasterizeGeometry(const Geometry& geometry, const CellGrid& grid,
   // over a column's epsilon-expanded x-interval form a sub-segment whose
   // y-range (epsilon-expanded) selects exactly the cells an expanded-rect
   // intersection test would accept. Segments are walked straight off the
-  // rings (no materialized list); the flat id `si` enumerates them
-  // ring-major — the id space the segment buckets and ring_seg_off expose.
+  // flat vertex array (no materialized list); a segment's id `si` is the
+  // flat index of its first vertex, the id the segment buckets expose.
+  // Every ring holds >= 2 vertices unless the geometry is a point.
   const bool closed = geometry.type() == GeometryType::kPolygon;
-  size_t nsegs = 0;
-  for (const auto& ring : geometry.rings()) {
-    if (ring.size() >= 2) nsegs += ring.size() - 1 + (closed ? 1 : 0);
-  }
+  const size_t nsegs =
+      geometry.type() == GeometryType::kPoint
+          ? 0
+          : geometry.points().size() - (closed ? 0 : geometry.num_rings());
   // (cell, segment) incidences collected alongside the marks when segment
   // buckets are requested. Cell indices are bitmap bit order (column-major
   // over the bounding box).
   build_buckets = build_buckets && nsegs != 0 && nsegs <= 65535;
-  if (build_buckets) {
-    uint32_t acc = 0;
-    for (const auto& ring : geometry.rings()) {
-      cover->ring_seg_off.push_back(acc);
-      if (ring.size() >= 2) {
-        acc += static_cast<uint32_t>(ring.size() - 1 + (closed ? 1 : 0));
-      }
-    }
-    cover->ring_seg_off.push_back(acc);
-  }
   static thread_local std::vector<std::pair<uint32_t, uint16_t>> incidences;
   incidences.clear();
   const double col_w = grid.cell_width() * static_cast<double>(uint64_t{1} << d);
   uint32_t si = 0;
-  for (const auto& ring : geometry.rings()) {
-    if (ring.size() < 2) continue;
+  for (size_t r = 0; r < geometry.num_rings() && nsegs != 0; ++r) {
+    const std::span<const Point> ring = geometry.ring(r);
     const size_t ring_segs = ring.size() - 1 + (closed ? 1 : 0);
     for (size_t e = 0; e < ring_segs; ++e, ++si) {
       const Point& pa = ring[e];
@@ -337,9 +324,7 @@ void RasterizeGeometry(const Geometry& geometry, const CellGrid& grid,
   }
 
   // ---- Segment-incidence buckets (counting sort by cell). ----
-  if (!build_buckets) {
-    cover->ring_seg_off.clear();
-  } else {
+  if (build_buckets) {
     std::vector<uint32_t>& off = cover->bucket_off;
     off.assign(static_cast<size_t>(nx) * ny + 1, 0);
     for (const auto& inc : incidences) ++off[inc.first + 1];
@@ -535,20 +520,11 @@ inline bool AnyBitInRange(const uint64_t* bits, uint32_t lo, uint32_t hi) {
   return (bits[w1] & m1) != 0;
 }
 
-class ExactRefinementEngine final : public RefinementEngine {
- public:
-  CellDecision Classify(const Geometry&, CellCover*, const Geometry&,
-                        const CellCover&) override {
-    return CellDecision::kNeedExact;
-  }
-};
-
 class AdaptiveRefinementEngine final : public RefinementEngine {
  public:
-  AdaptiveRefinementEngine(SpatialPredicate pred, bool approximate,
-                           const CellGrid& grid, uint32_t max_cells)
+  AdaptiveRefinementEngine(SpatialPredicate pred, const CellGrid& grid,
+                           uint32_t max_cells)
       : pred_(pred),
-        approximate_(approximate),
         // Only containment classification reads curve-keyed runs; every
         // other predicate works on the rect decomposition alone.
         build_runs_(pred == SpatialPredicate::kContains),
@@ -559,7 +535,7 @@ class AdaptiveRefinementEngine final : public RefinementEngine {
         ey_(AxisEpsilon(grid.universe().ylo, grid.universe().yhi,
                         grid.cell_height())) {}
 
-  void BuildCover(const Geometry& geometry, CellCover* cover) override {
+  void BuildCover(const GeometryView& geometry, CellCover* cover) override {
     // S-side covers: runs only for containment; rects never (intersection
     // probes S through the bitmap); segment buckets for the intersects
     // predicate's boundary-collision witness tests.
@@ -568,8 +544,9 @@ class AdaptiveRefinementEngine final : public RefinementEngine {
                       /*build_buckets=*/pred_ == SpatialPredicate::kIntersects);
   }
 
-  CellDecision Classify(const Geometry& r, CellCover* r_cover,
-                        const Geometry& s, const CellCover& s_cover) override {
+  CellDecision Classify(const GeometryView& r, CellCover* r_cover,
+                        const GeometryView& s,
+                        const CellCover& s_cover) override {
     if (pred_ == SpatialPredicate::kContains) {
       if (!r.Mbr().Contains(s.Mbr())) return CellDecision::kMiss;
       if (r.type() != GeometryType::kPolygon) return CellDecision::kNeedExact;
@@ -588,7 +565,7 @@ class AdaptiveRefinementEngine final : public RefinementEngine {
   const CellGrid* grid() const override { return &grid_; }
 
  private:
-  void EnsureCover(const Geometry& geometry, CellCover* cover) const {
+  void EnsureCover(const GeometryView& geometry, CellCover* cover) const {
     // R-side covers (lazily built for polygons only): rects for the
     // polygon-vs-cover walk, runs for containment, never buckets.
     if (!cover->built) {
@@ -630,17 +607,13 @@ class AdaptiveRefinementEngine final : public RefinementEngine {
         }
       }
     }
-    if (!any) return CellDecision::kMiss;
-    return approximate_ ? CellDecision::kAccepted : CellDecision::kNeedExact;
+    return any ? CellDecision::kNeedExact : CellDecision::kMiss;
   }
 
   /// Contains(R, S), R already known to be a polygon whose MBR contains
   /// S's: disjoint covers refute any shared point (S is non-empty, so it
   /// cannot be inside R); cover(S) fully inside R's interior runs proves S
-  /// subset-of R since S lies within its own cover's cells. Approximate
-  /// mode accepts when cover(S) is at least within cover(R) — the inner
-  /// then protrudes at most one cell diagonal — and otherwise still runs
-  /// the exact test (never rejects), preserving the superset contract.
+  /// subset-of R since S lies within its own cover's cells.
   CellDecision ClassifyContains(const CellCover& r_cover,
                                 const CellCover& s_cover) const {
     bool interior_hit = false;
@@ -650,10 +623,6 @@ class AdaptiveRefinementEngine final : public RefinementEngine {
     if (r_cover.has_interior &&
         RunsContain(r_cover.runs, s_cover.runs, /*interior_only=*/true)) {
       return CellDecision::kHit;
-    }
-    if (approximate_ &&
-        RunsContain(r_cover.runs, s_cover.runs, /*interior_only=*/false)) {
-      return CellDecision::kAccepted;
     }
     return CellDecision::kNeedExact;
   }
@@ -671,7 +640,8 @@ class AdaptiveRefinementEngine final : public RefinementEngine {
   /// segments are even visited. A strip finding an *interior* bit is a
   /// certain hit: the strip's cells hold a point of R's segment within
   /// their expanded rectangles, certified inside S's area.
-  CellDecision ClassifyBoundaryVsCover(const Geometry& r, const Geometry& s,
+  CellDecision ClassifyBoundaryVsCover(const GeometryView& r,
+                                       const GeometryView& s,
                                        const CellCover& s_cover) const {
     const Rect& uni = grid_.universe();
     const double ex = ex_, ey = ey_;
@@ -716,12 +686,11 @@ class AdaptiveRefinementEngine final : public RefinementEngine {
     const uint64_t* interior =
         scan_for_interior ? s_cover.interior_bits.data() : nullptr;
     const bool buckets = !s_cover.bucket_off.empty();
-    // Bucketed segment ids resolve ring-major against S's live rings — the
+    // Bucketed segment ids are vertex indices into S's live view — the
     // cover stores no coordinates (see CellCover). Consecutive ids share a
     // vertex, so witness scans read half the memory a segment array would.
-    const auto& s_rings = s.rings();
-    const uint32_t* ring_off = s_cover.ring_seg_off.data();
-    const size_t n_rings = s_rings.size();
+    const std::span<const Point> s_pts = s.points();
+    const std::span<const uint32_t> s_ends = s.ring_ends();
     const uint32_t* b_off = s_cover.bucket_off.data();
     const uint16_t* b_seg = s_cover.bucket_seg.data();
 
@@ -770,13 +739,12 @@ class AdaptiveRefinementEngine final : public RefinementEngine {
             word &= word - 1;
             for (uint32_t k = b_off[cell]; k < b_off[cell + 1]; ++k) {
               const uint32_t sid = b_seg[k];
-              size_t rk = 0;
-              while (rk + 1 < n_rings && sid >= ring_off[rk + 1]) ++rk;
-              const std::vector<Point>& ring = s_rings[rk];
-              const size_t pi = sid - ring_off[rk];
-              const Point& sa = ring[pi];
-              const Point& sb =
-                  pi + 1 < ring.size() ? ring[pi + 1] : ring[0];
+              size_t rk = 0;  // The ring holding vertex `sid`.
+              while (s_ends[rk] <= sid) ++rk;
+              uint32_t next = sid + 1;
+              if (next == s_ends[rk]) next = rk == 0 ? 0 : s_ends[rk - 1];
+              const Point& sa = s_pts[sid];
+              const Point& sb = s_pts[next];
               if (cur != nullptr) {
                 // Bbox pre-reject before the orientation tests.
                 if (std::max(sa.x, sb.x) < cur_xlo ||
@@ -796,30 +764,16 @@ class AdaptiveRefinementEngine final : public RefinementEngine {
       return false;
     };
 
-    // R's boundary segments are walked straight off its rings — no
-    // materialized segment list. Only polylines and points reach this path,
-    // so a ring is an open chain of consecutive-point segments.
-    bool has_segments = false;
-    for (const auto& ring : r.rings()) {
-      if (ring.size() >= 2) {
-        has_segments = true;
-        break;
-      }
-    }
-    if (!has_segments && r.type() == GeometryType::kPolyline) {
-      // A degenerate (single-vertex) polyline has no boundary segments, so
-      // the exact predicate can never find a segment intersection: against
-      // an area-free S it is disjoint by definition; against a polygon it
-      // reduces to vertex-in-polygon, which the cover walk below answers
-      // conservatively through the interior bits.
-      if (!s_area) return CellDecision::kMiss;
-    }
+    // R's boundary segments are walked straight off its vertex array — no
+    // materialized segment list. Only polylines (one open chain of >= 2
+    // vertices) and points reach this path.
+    const bool has_segments = r.type() == GeometryType::kPolyline;
     bool hit = false;
     Segment seg;
-    for (const auto& ring : r.rings()) {
-      if (hit || ring.size() < 2) continue;
-      for (size_t i = 0; i + 1 < ring.size() && !hit; ++i) {
-        seg = Segment{ring[i], ring[i + 1]};
+    if (has_segments) {
+      const std::span<const Point> chain = r.points();
+      for (size_t i = 0; i + 1 < chain.size() && !hit; ++i) {
+        seg = Segment{chain[i], chain[i + 1]};
         cur = &seg;
         double x0 = seg.a.x, y0 = seg.a.y, x1 = seg.b.x, y1 = seg.b.y;
         if (x0 > x1) {
@@ -869,7 +823,7 @@ class AdaptiveRefinementEngine final : public RefinementEngine {
     if (!has_segments) {
       // Point geometry: probe its (epsilon-expanded) cell range.
       cur = nullptr;
-      pt = r.rings()[0][0];
+      pt = r.points()[0];
       const uint32_t px_lo = std::max(grid_.CellX(rm.xlo - ex), wx_lo);
       const uint32_t px_hi = std::min(grid_.CellX(rm.xhi + ex), wx_hi);
       const uint32_t py_lo = std::max(grid_.CellY(rm.ylo - ey), wy_lo);
@@ -891,11 +845,10 @@ class AdaptiveRefinementEngine final : public RefinementEngine {
       // no area: the exact predicate has nothing left to find.
       return CellDecision::kMiss;
     }
-    return approximate_ ? CellDecision::kAccepted : CellDecision::kNeedExact;
+    return CellDecision::kNeedExact;
   }
 
   const SpatialPredicate pred_;
-  const bool approximate_;
   const bool build_runs_;
   const CellGrid grid_;
   const uint32_t max_cells_;
@@ -909,17 +862,14 @@ class AdaptiveRefinementEngine final : public RefinementEngine {
 std::unique_ptr<RefinementEngine> RefinementEngine::Create(
     SpatialPredicate pred, const RefineOptions& opts, const Rect& universe,
     double avg_extent_x, double avg_extent_y) {
-  if (opts.mode == RefineMode::kExact) {
-    return std::make_unique<ExactRefinementEngine>();
-  }
+  if (opts.mode == RefineMode::kExact) return nullptr;
   const uint32_t order =
       opts.grid_order != 0
           ? std::clamp<uint32_t>(opts.grid_order, 1, 24)
           : ChooseGridOrder(universe, avg_extent_x, avg_extent_y);
   const CellGrid grid(universe, order, opts.curve);
-  return std::make_unique<AdaptiveRefinementEngine>(
-      pred, opts.mode == RefineMode::kApproximate, grid,
-      opts.max_cells_per_object);
+  return std::make_unique<AdaptiveRefinementEngine>(pred, grid,
+                                                    opts.max_cells_per_object);
 }
 
 }  // namespace pbsm

@@ -26,19 +26,12 @@ enum class RefineMode : uint8_t {
   /// cell collisions fall back to the exact predicate. Result pair-set is
   /// identical to kExact.
   kAdaptive,
-  /// Like kAdaptive, but uncertain (boundary/boundary) collisions are
-  /// *accepted* without the exact test. Bounded-error contract: the result
-  /// is a superset of the exact result; every extra pair has geometries
-  /// within one cell diagonal (universe_extent / 2^grid_order * sqrt(2)) of
-  /// intersecting (for kContains: the inner protrudes at most that far).
-  kApproximate,
 };
 
-/// Canonical lowercase name ("exact" / "adaptive" / "approximate").
+/// Canonical lowercase name ("exact" / "adaptive").
 const char* RefineModeName(RefineMode mode);
 
-/// Parses a mode name (as produced by RefineModeName). Accepts "approx" as
-/// an alias for "approximate".
+/// Parses a mode name (as produced by RefineModeName).
 Result<RefineMode> ParseRefineMode(const std::string& name);
 
 /// Refinement knobs, grouped for designated-initializer construction:
@@ -92,13 +85,13 @@ struct CoverRect {
 };
 
 /// The interior/boundary cell cover of one geometry. Owns no geometry
-/// coordinates: segment buckets index the source geometry's rings, so a
-/// cover is only meaningful alongside the (live) geometry it was rasterized
-/// from. Rebuilding into the same object reuses every vector's capacity —
-/// the refine loop keeps one scratch cover per stream and rasterizes each
-/// S run into it allocation-free. The occupancy bitmap is always built;
-/// `rects` (the row-merged rectangle decomposition), `runs` (the
-/// curve-keyed interval form, which containment tests need) and the
+/// coordinates: segment buckets index the source geometry's vertices, so a
+/// cover is only meaningful alongside the (live) geometry view it was
+/// rasterized from. Rebuilding into the same object reuses every vector's
+/// capacity — the refine loop keeps one scratch cover per stream and
+/// rasterizes each S run into it allocation-free. The occupancy bitmap is
+/// always built; `rects` (the row-merged rectangle decomposition), `runs`
+/// (the curve-keyed interval form, which containment tests need) and the
 /// per-cell segment buckets only on request.
 struct CellCover {
   bool built = false;
@@ -129,14 +122,12 @@ struct CellCover {
   /// primitive is tested against only the segments sharing the cell, which
   /// either produces an intersection witness (a certain hit) or — for
   /// area-free geometries, once every collision is refuted — proves the
-  /// pair disjoint. Segment ids index the source geometry's boundary
-  /// segments ring-major (ring r's open-chain segments in vertex order,
-  /// plus the implicit closing segment for polygons); the cover stores no
-  /// coordinates of its own, so classification must be handed the same
-  /// geometry the cover was rasterized from. ring_seg_off[r] is the id of
-  /// ring r's first segment, with one trailing sentinel = total segments.
-  /// Empty when not built (or > 65535 segments).
-  std::vector<uint32_t> ring_seg_off;
+  /// pair disjoint. A segment's id is the flat index of its first vertex
+  /// (it runs to the next vertex, or back to the ring's first for a
+  /// polygon's closing edge), so ids also enumerate the boundary segments
+  /// ring-major. The cover stores no coordinates of its own: classification
+  /// must be handed the same geometry the cover was rasterized from. Empty
+  /// when not built (or > 65535 segments).
   std::vector<uint32_t> bucket_off;
   std::vector<uint16_t> bucket_seg;
 };
@@ -146,7 +137,6 @@ enum class CellDecision : uint8_t {
   kHit,        ///< Certain result pair; skip the exact test.
   kMiss,       ///< Certainly not a result pair; skip the exact test.
   kNeedExact,  ///< Boundary collision; run the exact predicate.
-  kAccepted,   ///< Approximate mode only: uncertain pair accepted as-is.
 };
 
 /// The cell grid shared by every cover a query builds: the join universe
@@ -199,7 +189,7 @@ class CellGrid {
 /// decomposition (polygon-vs-cover intersection), `build_buckets` the
 /// per-cell segment buckets (boundary-collision witness tests) — each
 /// skipped by the engines when the predicate or side never reads it.
-void RasterizeGeometry(const Geometry& geometry, const CellGrid& grid,
+void RasterizeGeometry(const GeometryView& geometry, const CellGrid& grid,
                        uint32_t max_cells, CellCover* cover,
                        bool build_runs = true, bool build_rects = true,
                        bool build_buckets = false);
@@ -220,11 +210,8 @@ class RefinementEngine {
  public:
   virtual ~RefinementEngine() = default;
 
-  /// Rasterizes one geometry's cover onto the engine's grid. No-op for the
-  /// exact engine (which never reads covers).
-  virtual void BuildCover(const Geometry& /*geometry*/, CellCover* cover) {
-    cover->built = true;
-  }
+  /// Rasterizes one geometry's cover onto the engine's grid.
+  virtual void BuildCover(const GeometryView& geometry, CellCover* cover) = 0;
 
   /// Classifies candidate pair (r, s). `s_cover` must have been built
   /// (BuildCover) from this very `s` — covers keep no coordinates of their
@@ -233,17 +220,17 @@ class RefinementEngine {
   /// walks its segments (clipped to the MBR overlap) directly against S's
   /// cover — no R cover is ever built for it — while a polygon R (whose
   /// interior matters) lazily builds `r_cover` and compares runs.
-  virtual CellDecision Classify(const Geometry& r, CellCover* r_cover,
-                                const Geometry& s,
+  virtual CellDecision Classify(const GeometryView& r, CellCover* r_cover,
+                                const GeometryView& s,
                                 const CellCover& s_cover) = 0;
 
-  /// The grid in use; nullptr for the exact engine.
-  virtual const CellGrid* grid() const { return nullptr; }
+  /// The grid in use.
+  virtual const CellGrid* grid() const = 0;
 
   /// Builds the engine for one query. `universe` is the join universe
   /// (union of both inputs); the average MBR extents drive the auto grid
-  /// order when opts.grid_order == 0. The exact engine classifies every
-  /// pair kNeedExact — the caller's loop degenerates to the classic path.
+  /// order when opts.grid_order == 0. Returns nullptr for RefineMode::kExact:
+  /// every pair then pays the exact predicate.
   static std::unique_ptr<RefinementEngine> Create(
       SpatialPredicate pred, const RefineOptions& opts, const Rect& universe,
       double avg_extent_x, double avg_extent_y);

@@ -58,8 +58,8 @@ Result<SpatialHistogram> SpatialHistogram::Build(const HeapFile& heap,
   SpatialHistogram hist(universe, nx, ny);
   PBSM_RETURN_IF_ERROR(
       heap.Scan([&](Oid, const char* data, size_t size) -> Status {
-        PBSM_ASSIGN_OR_RETURN(const Tuple tuple, Tuple::Parse(data, size));
-        hist.Add(tuple.geometry.Mbr());
+        PBSM_ASSIGN_OR_RETURN(const Rect mbr, ParseTupleMbr(data, size));
+        hist.Add(mbr);
         return Status::OK();
       }));
   return hist;

@@ -53,13 +53,13 @@ Status SpatialHashFilter(BufferPool* pool, const JoinInput& r,
     uint64_t seen = 0;
     PBSM_RETURN_IF_ERROR(r.heap->Scan(
         [&](Oid, const char* data, size_t size) -> Status {
-          PBSM_ASSIGN_OR_RETURN(const Tuple tuple, Tuple::Parse(data, size));
+          PBSM_ASSIGN_OR_RETURN(const Rect mbr, ParseTupleMbr(data, size));
           ++seen;
           if (sample.size() < sample_target) {
-            sample.push_back(tuple.geometry.Mbr());
+            sample.push_back(mbr);
           } else {
             const uint64_t j = rng.Uniform(seen);
-            if (j < sample_target) sample[j] = tuple.geometry.Mbr();
+            if (j < sample_target) sample[j] = mbr;
           }
           return Status::OK();
         }));
@@ -107,8 +107,7 @@ Status SpatialHashFilter(BufferPool* pool, const JoinInput& r,
     PhaseTimer timer(disk, &cost, phase);
     PBSM_RETURN_IF_ERROR(r.heap->Scan(
         [&](Oid oid, const char* data, size_t size) -> Status {
-          PBSM_ASSIGN_OR_RETURN(const Tuple tuple, Tuple::Parse(data, size));
-          const Rect mbr = tuple.geometry.Mbr();
+          PBSM_ASSIGN_OR_RETURN(const Rect mbr, ParseTupleMbr(data, size));
           uint32_t best = 0;
           double best_growth = std::numeric_limits<double>::infinity();
           double best_area = std::numeric_limits<double>::infinity();
@@ -136,8 +135,8 @@ Status SpatialHashFilter(BufferPool* pool, const JoinInput& r,
     PhaseTimer timer(disk, &cost, phase);
     PBSM_RETURN_IF_ERROR(s.heap->Scan(
         [&](Oid oid, const char* data, size_t size) -> Status {
-          PBSM_ASSIGN_OR_RETURN(const Tuple tuple, Tuple::Parse(data, size));
-          const KeyPointer kp{tuple.geometry.Mbr(), oid.Encode()};
+          PBSM_ASSIGN_OR_RETURN(const Rect mbr, ParseTupleMbr(data, size));
+          const KeyPointer kp{mbr, oid.Encode()};
           uint32_t copies = 0;
           for (uint32_t b = 0; b < num_buckets; ++b) {
             if (extents[b].Intersects(kp.mbr)) {

@@ -24,11 +24,14 @@ Result<SelectResult> WindowSelect(BufferPool* pool, const JoinInput& input,
         {window.xhi, window.yhi},
         {window.xlo, window.yhi}}});
 
+  GeometryBuffer scratch;  // One candidate's vertices at a time.
+  TupleView tuple;
   switch (path) {
     case SelectAccessPath::kFullScan: {
       PBSM_RETURN_IF_ERROR(input.heap->Scan(
           [&](Oid oid, const char* data, size_t size) -> Status {
-            PBSM_ASSIGN_OR_RETURN(const Tuple tuple, Tuple::Parse(data, size));
+            scratch.clear();
+            PBSM_RETURN_IF_ERROR(ParseTupleView(data, size, &scratch, &tuple));
             if (!tuple.geometry.Mbr().Intersects(window)) {
               return Status::OK();
             }
@@ -55,8 +58,9 @@ Result<SelectResult> WindowSelect(BufferPool* pool, const JoinInput& input,
       for (const uint64_t encoded : hits) {
         const Oid oid = Oid::Decode(encoded);
         PBSM_RETURN_IF_ERROR(input.heap->Fetch(oid, &record));
-        PBSM_ASSIGN_OR_RETURN(const Tuple tuple,
-                              Tuple::Parse(record.data(), record.size()));
+        scratch.clear();
+        PBSM_RETURN_IF_ERROR(
+            ParseTupleView(record.data(), record.size(), &scratch, &tuple));
         if (Intersects(tuple.geometry, window_polygon,
                        opts.refinement_mode)) {
           result.oids.push_back(oid);

@@ -98,9 +98,9 @@ Status TransformInput(const HeapFile& heap, Decomposer* decomposer,
                       ZSorter* sorter, uint64_t* num_elements) {
   std::vector<std::pair<uint64_t, uint64_t>> cells;
   return heap.Scan([&](Oid oid, const char* data, size_t size) -> Status {
-    PBSM_ASSIGN_OR_RETURN(const Tuple tuple, Tuple::Parse(data, size));
+    PBSM_ASSIGN_OR_RETURN(const Rect mbr, ParseTupleMbr(data, size));
     cells.clear();
-    decomposer->Run(tuple.geometry.Mbr(), &cells);
+    decomposer->Run(mbr, &cells);
     for (const auto& [lo, hi] : cells) {
       PBSM_RETURN_IF_ERROR(sorter->Add(ZElement{lo, hi, oid.Encode()}));
       ++*num_elements;

@@ -28,9 +28,9 @@ Result<bool> ScanOp::NextImpl(RowBatch* out) {
     PBSM_ASSIGN_OR_RETURN(const bool has, cursor_->Next(&oid, &record_));
     if (!has) break;
     if (window_.has_value()) {
-      PBSM_ASSIGN_OR_RETURN(const Tuple tuple,
-                            Tuple::Parse(record_.data(), record_.size()));
-      if (!tuple.geometry.Mbr().Intersects(*window_)) continue;
+      PBSM_ASSIGN_OR_RETURN(const Rect mbr,
+                            ParseTupleMbr(record_.data(), record_.size()));
+      if (!mbr.Intersects(*window_)) continue;
     }
     out->AppendRow1(oid.Encode());
   }
@@ -67,9 +67,7 @@ Result<bool> SelectOp::RowPasses(const uint64_t* row) {
     } else if (src.heap != nullptr) {
       PBSM_RETURN_IF_ERROR(
           src.heap->Fetch(Oid::Decode(row[col]), &record_));
-      PBSM_ASSIGN_OR_RETURN(const Tuple tuple,
-                            Tuple::Parse(record_.data(), record_.size()));
-      mbr = tuple.geometry.Mbr();
+      PBSM_ASSIGN_OR_RETURN(mbr, ParseTupleMbr(record_.data(), record_.size()));
     } else {
       continue;  // Unconstrained column.
     }

@@ -283,9 +283,9 @@ Status SpatialJoinOp::BuildMatches() {
     for (const auto& [oid, unused] : matches_) {
       PBSM_RETURN_IF_ERROR(
           left_input_.heap->Fetch(Oid::Decode(oid), &record));
-      PBSM_ASSIGN_OR_RETURN(const Tuple tuple,
-                            Tuple::Parse(record.data(), record.size()));
-      l_kps.push_back(KeyPointer{tuple.geometry.Mbr(), oid});
+      PBSM_ASSIGN_OR_RETURN(const Rect mbr,
+                            ParseTupleMbr(record.data(), record.size()));
+      l_kps.push_back(KeyPointer{mbr, oid});
     }
 
     // ...and of the whole right relation, with periodic cancel polls (a
@@ -300,9 +300,8 @@ Status SpatialJoinOp::BuildMatches() {
             Tracer::Global().FlushOpenSpans();
             return ctx_->cancel->CancellationStatus();
           }
-          PBSM_ASSIGN_OR_RETURN(const Tuple tuple,
-                                Tuple::Parse(data, size));
-          r_kps.push_back(KeyPointer{tuple.geometry.Mbr(), oid.Encode()});
+          PBSM_ASSIGN_OR_RETURN(const Rect mbr, ParseTupleMbr(data, size));
+          r_kps.push_back(KeyPointer{mbr, oid.Encode()});
           return Status::OK();
         }));
 

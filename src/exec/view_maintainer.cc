@@ -56,8 +56,7 @@ Result<std::unique_ptr<MaterializedJoinView>> MaterializedJoinView::Build(
                                 std::vector<std::vector<uint64_t>>* tiles) {
     return input.heap->Scan(
         [&](Oid oid, const char* data, size_t size) -> Status {
-          PBSM_ASSIGN_OR_RETURN(const Tuple tuple, Tuple::Parse(data, size));
-          const Rect mbr = tuple.geometry.Mbr();
+          PBSM_ASSIGN_OR_RETURN(const Rect mbr, ParseTupleMbr(data, size));
           (*mbrs)[oid.Encode()] = mbr;
           view->tiles_scratch_.clear();
           view->part_->ClassifyTiles(mbr, &view->tiles_scratch_);
@@ -83,6 +82,8 @@ Status MaterializedJoinView::DeltaJoin(Side side, uint64_t oid,
 
   uint64_t candidates = 0, results = 0;
   std::string record;
+  GeometryBuffer scratch;  // The fetched partner's geometry, reused.
+  TupleView other_tuple;
   tiles_scratch_.clear();
   part_->ClassifyTiles(mbr, &tiles_scratch_);
   for (const TileAssignment& ta : tiles_scratch_) {
@@ -100,8 +101,9 @@ Status MaterializedJoinView::DeltaJoin(Side side, uint64_t oid,
       if (owner != ta.tile) continue;
       ++candidates;
       PBSM_RETURN_IF_ERROR(other_heap->Fetch(Oid::Decode(other), &record));
-      PBSM_ASSIGN_OR_RETURN(const Tuple other_tuple,
-                            Tuple::Parse(record.data(), record.size()));
+      scratch.clear();
+      PBSM_RETURN_IF_ERROR(ParseTupleView(record.data(), record.size(),
+                                          &scratch, &other_tuple));
       const bool hit =
           side == Side::kR
               ? EvaluatePredicate(config_.predicate, tuple.geometry,

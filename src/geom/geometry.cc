@@ -14,7 +14,7 @@ void AppendRaw(std::string* out, const void* p, size_t n) {
 
 template <typename T>
 bool ReadRaw(const uint8_t* data, size_t size, size_t* off, T* out) {
-  if (*off + sizeof(T) > size) return false;
+  if (size - *off < sizeof(T)) return false;
   std::memcpy(out, data + *off, sizeof(T));
   *off += sizeof(T);
   return true;
@@ -22,72 +22,9 @@ bool ReadRaw(const uint8_t* data, size_t size, size_t* off, T* out) {
 
 }  // namespace
 
-Geometry::Geometry(GeometryType type, std::vector<std::vector<Point>> rings)
-    : type_(type), rings_(std::move(rings)) {
-  for (const auto& ring : rings_) {
-    for (const Point& p : ring) mbr_.Expand(p);
-  }
-}
-
-Geometry Geometry::MakePoint(const Point& p) {
-  return Geometry(GeometryType::kPoint, {{p}});
-}
-
-Geometry Geometry::MakePolyline(std::vector<Point> pts) {
-  PBSM_CHECK(pts.size() >= 2) << "polyline needs >= 2 vertices";
-  std::vector<std::vector<Point>> rings;
-  rings.push_back(std::move(pts));
-  return Geometry(GeometryType::kPolyline, std::move(rings));
-}
-
-Geometry Geometry::MakePolygon(std::vector<std::vector<Point>> rings) {
-  PBSM_CHECK(!rings.empty()) << "polygon needs an outer ring";
-  for (const auto& ring : rings) {
-    PBSM_CHECK(ring.size() >= 3) << "polygon ring needs >= 3 vertices";
-  }
-  return Geometry(GeometryType::kPolygon, std::move(rings));
-}
-
-size_t Geometry::num_points() const {
-  size_t n = 0;
-  for (const auto& ring : rings_) n += ring.size();
-  return n;
-}
-
-void Geometry::CollectSegments(std::vector<Segment>* out) const {
-  for (const auto& ring : rings_) {
-    if (ring.size() < 2) continue;
-    for (size_t i = 0; i + 1 < ring.size(); ++i) {
-      out->push_back(Segment{ring[i], ring[i + 1]});
-    }
-    if (type_ == GeometryType::kPolygon) {
-      out->push_back(Segment{ring.back(), ring.front()});
-    }
-  }
-}
-
-size_t Geometry::SerializedSize() const {
-  size_t n = sizeof(uint8_t) + sizeof(uint32_t);
-  for (const auto& ring : rings_) {
-    n += sizeof(uint32_t) + ring.size() * sizeof(Point);
-  }
-  return n;
-}
-
-void Geometry::AppendTo(std::string* out) const {
-  const uint8_t type = static_cast<uint8_t>(type_);
-  AppendRaw(out, &type, sizeof(type));
-  const uint32_t nrings = static_cast<uint32_t>(rings_.size());
-  AppendRaw(out, &nrings, sizeof(nrings));
-  for (const auto& ring : rings_) {
-    const uint32_t npts = static_cast<uint32_t>(ring.size());
-    AppendRaw(out, &npts, sizeof(npts));
-    AppendRaw(out, ring.data(), ring.size() * sizeof(Point));
-  }
-}
-
-Result<Geometry> Geometry::Parse(const uint8_t* data, size_t size,
-                                 size_t* consumed) {
+Status ParseGeometryView(const uint8_t* data, size_t size,
+                         GeometryBuffer* scratch, GeometryView* view,
+                         size_t* consumed) {
   size_t off = 0;
   uint8_t type_raw = 0;
   uint32_t nrings = 0;
@@ -98,31 +35,104 @@ Result<Geometry> Geometry::Parse(const uint8_t* data, size_t size,
   if (type_raw < 1 || type_raw > 3) {
     return Status::Corruption("bad geometry type tag");
   }
-  if (nrings == 0 || nrings > (1u << 20)) {
+  const auto type = static_cast<GeometryType>(type_raw);
+  // A ring costs its vertex count plus at least one vertex. Points and
+  // polylines are single-ring.
+  if (nrings == 0 || (type != GeometryType::kPolygon && nrings != 1) ||
+      nrings > (size - off) / (sizeof(uint32_t) + sizeof(Point))) {
     return Status::Corruption("bad geometry ring count");
   }
-  std::vector<std::vector<Point>> rings;
-  rings.reserve(nrings);
+  // Vertex minimum per ring (a point ring holds exactly one).
+  const uint32_t min_pts = type == GeometryType::kPolygon ? 3 : 2;
+  const size_t p0 = scratch != nullptr ? scratch->points.size() : 0;
+  const size_t r0 = scratch != nullptr ? scratch->ring_ends.size() : 0;
+  Rect mbr;
+  uint32_t total = 0;
   for (uint32_t r = 0; r < nrings; ++r) {
     uint32_t npts = 0;
-    if (!ReadRaw(data, size, &off, &npts)) {
-      return Status::Corruption("geometry ring header truncated");
+    if (!ReadRaw(data, size, &off, &npts) ||
+        (type == GeometryType::kPoint ? npts != 1 : npts < min_pts) ||
+        npts > (size - off) / sizeof(Point)) {
+      if (scratch != nullptr) {  // Leave no half-parsed geometry behind.
+        scratch->points.resize(p0);
+        scratch->ring_ends.resize(r0);
+      }
+      return Status::Corruption("bad geometry ring");
     }
-    const size_t bytes = static_cast<size_t>(npts) * sizeof(Point);
-    if (off + bytes > size) {
-      return Status::Corruption("geometry ring data truncated");
+    for (uint32_t i = 0; i < npts; ++i, off += sizeof(Point)) {
+      Point p;
+      std::memcpy(&p, data + off, sizeof(Point));
+      mbr.Expand(p);
+      if (scratch != nullptr) scratch->points.push_back(p);
     }
-    std::vector<Point> ring(npts);
-    std::memcpy(ring.data(), data + off, bytes);
-    off += bytes;
-    rings.push_back(std::move(ring));
+    total += npts;
+    if (scratch != nullptr) scratch->ring_ends.push_back(total);
   }
   *consumed = off;
-  return Geometry(static_cast<GeometryType>(type_raw), std::move(rings));
+  *view = scratch == nullptr
+              ? GeometryView(type, mbr, {}, {})
+              : GeometryView(type, mbr, {scratch->points.data() + p0, total},
+                             {scratch->ring_ends.data() + r0, nrings});
+  return Status::OK();
+}
+
+Geometry::Geometry(GeometryType type, GeometryBuffer buf)
+    : type_(type), buf_(std::move(buf)) {
+  for (const Point& p : buf_.points) mbr_.Expand(p);
+}
+
+Geometry::Geometry(GeometryType type, GeometryBuffer buf, const Rect& mbr)
+    : type_(type), buf_(std::move(buf)), mbr_(mbr) {}
+
+Geometry Geometry::MakePoint(const Point& p) {
+  return Geometry(GeometryType::kPoint, GeometryBuffer{{p}, {1}});
+}
+
+Geometry Geometry::MakePolyline(std::vector<Point> pts) {
+  PBSM_CHECK(pts.size() >= 2) << "polyline needs >= 2 vertices";
+  const auto n = static_cast<uint32_t>(pts.size());
+  return Geometry(GeometryType::kPolyline, GeometryBuffer{std::move(pts), {n}});
+}
+
+Geometry Geometry::MakePolygon(std::vector<std::vector<Point>> rings) {
+  PBSM_CHECK(!rings.empty()) << "polygon needs an outer ring";
+  GeometryBuffer buf;
+  for (const auto& ring : rings) {
+    PBSM_CHECK(ring.size() >= 3) << "polygon ring needs >= 3 vertices";
+    buf.points.insert(buf.points.end(), ring.begin(), ring.end());
+    buf.ring_ends.push_back(static_cast<uint32_t>(buf.points.size()));
+  }
+  return Geometry(GeometryType::kPolygon, std::move(buf));
+}
+
+Geometry Geometry::FromParsed(const GeometryView& view,
+                              GeometryBuffer buffer) {
+  PBSM_CHECK(buffer.points.size() == view.points().size() &&
+             buffer.ring_ends.size() == view.num_rings())
+      << "buffer holds more than the parsed geometry";
+  return Geometry(view.type(), std::move(buffer), view.Mbr());
+}
+
+size_t Geometry::SerializedSize() const {
+  return sizeof(uint8_t) + sizeof(uint32_t) +
+         num_rings() * sizeof(uint32_t) + num_points() * sizeof(Point);
+}
+
+void Geometry::AppendTo(std::string* out) const {
+  const uint8_t type = static_cast<uint8_t>(type_);
+  AppendRaw(out, &type, sizeof(type));
+  const uint32_t nrings = static_cast<uint32_t>(num_rings());
+  AppendRaw(out, &nrings, sizeof(nrings));
+  for (size_t r = 0; r < num_rings(); ++r) {
+    const std::span<const Point> pts = ring(r);
+    const uint32_t npts = static_cast<uint32_t>(pts.size());
+    AppendRaw(out, &npts, sizeof(npts));
+    AppendRaw(out, pts.data(), pts.size() * sizeof(Point));
+  }
 }
 
 std::string Geometry::ToWkt() const {
-  auto append_ring = [](std::string* out, const std::vector<Point>& ring,
+  auto append_ring = [](std::string* out, std::span<const Point> ring,
                         bool close) {
     out->push_back('(');
     for (size_t i = 0; i < ring.size(); ++i) {
@@ -144,20 +154,20 @@ std::string Geometry::ToWkt() const {
   switch (type_) {
     case GeometryType::kPoint:
       out = "POINT (";
-      out.append(std::to_string(rings_[0][0].x));
+      out.append(std::to_string(buf_.points[0].x));
       out.push_back(' ');
-      out.append(std::to_string(rings_[0][0].y));
+      out.append(std::to_string(buf_.points[0].y));
       out.push_back(')');
       break;
     case GeometryType::kPolyline:
       out = "LINESTRING ";
-      append_ring(&out, rings_[0], /*close=*/false);
+      append_ring(&out, ring(0), /*close=*/false);
       break;
     case GeometryType::kPolygon: {
       out = "POLYGON (";
-      for (size_t r = 0; r < rings_.size(); ++r) {
+      for (size_t r = 0; r < num_rings(); ++r) {
         if (r > 0) out.append(", ");
-        append_ring(&out, rings_[r], /*close=*/true);
+        append_ring(&out, ring(r), /*close=*/true);
       }
       out.push_back(')');
       break;

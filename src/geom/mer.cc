@@ -7,7 +7,7 @@
 
 namespace pbsm {
 
-bool RectInsidePolygon(const Rect& candidate, const Geometry& polygon) {
+bool RectInsidePolygon(const Rect& candidate, const GeometryView& polygon) {
   if (candidate.empty() || polygon.type() != GeometryType::kPolygon) {
     return false;
   }
@@ -21,21 +21,18 @@ bool RectInsidePolygon(const Rect& candidate, const Geometry& polygon) {
   }
   // No boundary segment of the polygon (outer ring or hole) may reach into
   // the rectangle; this also rejects holes that sit wholly inside it.
-  std::vector<Segment> boundary;
-  polygon.CollectSegments(&boundary);
-  for (const Segment& s : boundary) {
-    if (SegmentIntersectsRect(s, candidate)) return false;
-  }
-  return true;
+  return !AnySegment(polygon, [&candidate](const Point& a, const Point& b) {
+    return SegmentIntersectsRect(Segment{a, b}, candidate);
+  });
 }
 
-Rect ComputeMer(const Geometry& polygon) {
+Rect ComputeMer(const GeometryView& polygon) {
   if (polygon.type() != GeometryType::kPolygon) return Rect();
   const Rect mbr = polygon.Mbr();
 
   // Candidate anchors: ring centroid first, then vertex-pair midpoints.
   std::vector<Point> anchors;
-  const auto& outer = polygon.rings()[0];
+  const std::span<const Point> outer = polygon.ring(0);
   Point centroid{0, 0};
   for (const Point& p : outer) {
     centroid.x += p.x;

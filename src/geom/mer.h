@@ -20,11 +20,11 @@ namespace pbsm {
 /// conservative (always enclosed) but not necessarily maximum-area; an empty
 /// Rect is returned when no axis-aligned rectangle around the anchor fits
 /// (e.g. the anchor falls outside, or the polygon is degenerate).
-Rect ComputeMer(const Geometry& polygon);
+Rect ComputeMer(const GeometryView& polygon);
 
 /// True when `candidate` lies fully inside `polygon`'s area (holes
 /// respected). Exact up to the segment predicates.
-bool RectInsidePolygon(const Rect& candidate, const Geometry& polygon);
+bool RectInsidePolygon(const Rect& candidate, const GeometryView& polygon);
 
 }  // namespace pbsm
 

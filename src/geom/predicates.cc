@@ -8,7 +8,7 @@ namespace pbsm {
 
 namespace {
 
-bool PointOnRingBoundary(const Point& p, const std::vector<Point>& ring) {
+bool PointOnRingBoundary(const Point& p, std::span<const Point> ring) {
   const size_t n = ring.size();
   for (size_t i = 0; i < n; ++i) {
     if (PointOnSegment(p, Segment{ring[i], ring[(i + 1) % n]})) return true;
@@ -17,7 +17,7 @@ bool PointOnRingBoundary(const Point& p, const std::vector<Point>& ring) {
 }
 
 /// Ray-casting crossing parity; boundary handled by the caller.
-bool PointInRingInterior(const Point& p, const std::vector<Point>& ring) {
+bool PointInRingInterior(const Point& p, std::span<const Point> ring) {
   bool inside = false;
   const size_t n = ring.size();
   for (size_t i = 0, j = n - 1; i < n; j = i++) {
@@ -31,46 +31,54 @@ bool PointInRingInterior(const Point& p, const std::vector<Point>& ring) {
   return inside;
 }
 
-/// Naive all-pairs red/blue segment intersection with MBR quick reject.
-bool SegmentSetsIntersectNaive(const std::vector<Segment>& red,
-                               const std::vector<Segment>& blue) {
-  for (const Segment& r : red) {
-    const Rect rm = r.Mbr();
-    for (const Segment& b : blue) {
-      if (!rm.Intersects(b.Mbr())) continue;
-      if (SegmentsIntersect(r, b)) return true;
-    }
-  }
-  return false;
-}
-
+/// A boundary segment with its MBR precomputed: the element both
+/// segment-set algorithms iterate.
 struct SweepSeg {
   Rect mbr;
-  const Segment* seg;
+  Segment seg;
 };
+
+/// The red and blue sweep arrays of the calling thread. Their capacity
+/// persists across calls, so a warm thread refines allocation-free. No
+/// user of the arrays calls another, so one pair per thread suffices.
+struct SweepScratch {
+  std::vector<SweepSeg> red;
+  std::vector<SweepSeg> blue;
+};
+
+SweepScratch& Scratch() {
+  static thread_local SweepScratch scratch;
+  return scratch;
+}
+
+void Fill(const GeometryView& g, std::vector<SweepSeg>* out) {
+  out->clear();
+  AnySegment(g, [out](const Point& a, const Point& b) {
+    const Segment s{a, b};
+    out->push_back(SweepSeg{s.Mbr(), s});
+    return false;
+  });
+}
 
 /// Forward plane sweep (Brinkhoff et al. style): both sides sorted by
 /// MBR.xlo; repeatedly take the head with the smaller xlo and scan the other
-/// side while its xlo is within the head's x-extent.
-bool SegmentSetsIntersectSweep(const std::vector<Segment>& red,
-                               const std::vector<Segment>& blue) {
-  std::vector<SweepSeg> r(red.size());
-  std::vector<SweepSeg> b(blue.size());
-  for (size_t i = 0; i < red.size(); ++i) r[i] = {red[i].Mbr(), &red[i]};
-  for (size_t i = 0; i < blue.size(); ++i) b[i] = {blue[i].Mbr(), &blue[i]};
-  auto by_xlo = [](const SweepSeg& a, const SweepSeg& c) {
-    return a.mbr.xlo < c.mbr.xlo;
+/// side while its xlo is within the head's x-extent. visit(head, other)
+/// runs on every pair whose MBRs overlap; returning true stops the sweep.
+template <typename Visit>
+bool Sweep(std::vector<SweepSeg>& r, std::vector<SweepSeg>& b,
+           Visit&& visit) {
+  auto by_xlo = [](const SweepSeg& x, const SweepSeg& y) {
+    return x.mbr.xlo < y.mbr.xlo;
   };
   std::sort(r.begin(), r.end(), by_xlo);
   std::sort(b.begin(), b.end(), by_xlo);
 
-  auto scan = [](const SweepSeg& head, const std::vector<SweepSeg>& other,
-                 size_t from) {
+  auto scan = [&](const SweepSeg& head, const std::vector<SweepSeg>& other,
+                  size_t from) {
     for (size_t k = from;
          k < other.size() && other[k].mbr.xlo <= head.mbr.xhi; ++k) {
       if (head.mbr.ylo <= other[k].mbr.yhi &&
-          other[k].mbr.ylo <= head.mbr.yhi &&
-          SegmentsIntersect(*head.seg, *other[k].seg)) {
+          other[k].mbr.ylo <= head.mbr.yhi && visit(head, other[k])) {
         return true;
       }
     }
@@ -90,34 +98,55 @@ bool SegmentSetsIntersectSweep(const std::vector<Segment>& red,
   return false;
 }
 
-/// One representative vertex of each geometry (first vertex of first ring).
-const Point& AnyVertex(const Geometry& g) { return g.rings()[0][0]; }
-
-bool PolygonBoundariesIntersect(const Geometry& a, const Geometry& b,
-                                SegmentTestMode mode) {
-  std::vector<Segment> sa, sb;
-  a.CollectSegments(&sa);
-  b.CollectSegments(&sb);
-  return SegmentSetsIntersect(sa, sb, mode);
+/// True when some red segment intersects some blue segment. The sweep
+/// reorders both arrays.
+bool SweepSegsIntersect(std::vector<SweepSeg>& red,
+                        std::vector<SweepSeg>& blue, SegmentTestMode mode) {
+  if (red.empty() || blue.empty()) return false;
+  if (mode == SegmentTestMode::kNaive) {
+    // All pairs with an MBR quick reject: the unoptimized Paradise path.
+    for (const SweepSeg& r : red) {
+      for (const SweepSeg& b : blue) {
+        if (r.mbr.Intersects(b.mbr) && SegmentsIntersect(r.seg, b.seg)) {
+          return true;
+        }
+      }
+    }
+    return false;
+  }
+  return Sweep(red, blue, [](const SweepSeg& x, const SweepSeg& y) {
+    return SegmentsIntersect(x.seg, y.seg);
+  });
 }
+
+bool BoundariesIntersect(const GeometryView& a, const GeometryView& b,
+                         SegmentTestMode mode) {
+  SweepScratch& s = Scratch();
+  Fill(a, &s.red);
+  Fill(b, &s.blue);
+  return SweepSegsIntersect(s.red, s.blue, mode);
+}
+
+/// One representative vertex (the first of the first ring). Parsing and
+/// the Make* factories guarantee every geometry has one.
+const Point& AnyVertex(const GeometryView& g) { return g.points()[0]; }
 
 }  // namespace
 
-bool PointInRing(const Point& p, const std::vector<Point>& ring) {
+bool PointInRing(const Point& p, std::span<const Point> ring) {
   PBSM_CHECK(ring.size() >= 3) << "ring needs >= 3 vertices";
   if (PointOnRingBoundary(p, ring)) return true;
   return PointInRingInterior(p, ring);
 }
 
-bool PointInPolygon(const Point& p, const Geometry& polygon) {
+bool PointInPolygon(const Point& p, const GeometryView& polygon) {
   PBSM_CHECK(polygon.type() == GeometryType::kPolygon);
-  const auto& rings = polygon.rings();
-  if (!PointInRing(p, rings[0])) return false;
-  for (size_t h = 1; h < rings.size(); ++h) {
+  if (!PointInRing(p, polygon.ring(0))) return false;
+  for (size_t h = 1; h < polygon.num_rings(); ++h) {
     // Strictly inside a hole => outside the polygon. On the hole boundary
     // still counts as inside the polygon.
-    if (!PointOnRingBoundary(p, rings[h]) &&
-        PointInRingInterior(p, rings[h])) {
+    const std::span<const Point> hole = polygon.ring(h);
+    if (!PointOnRingBoundary(p, hole) && PointInRingInterior(p, hole)) {
       return false;
     }
   }
@@ -127,17 +156,16 @@ bool PointInPolygon(const Point& p, const Geometry& polygon) {
 bool SegmentSetsIntersect(const std::vector<Segment>& red,
                           const std::vector<Segment>& blue,
                           SegmentTestMode mode) {
-  if (red.empty() || blue.empty()) return false;
-  switch (mode) {
-    case SegmentTestMode::kNaive:
-      return SegmentSetsIntersectNaive(red, blue);
-    case SegmentTestMode::kPlaneSweep:
-      return SegmentSetsIntersectSweep(red, blue);
-  }
-  return false;
+  SweepScratch& s = Scratch();
+  s.red.clear();
+  s.blue.clear();
+  for (const Segment& seg : red) s.red.push_back(SweepSeg{seg.Mbr(), seg});
+  for (const Segment& seg : blue) s.blue.push_back(SweepSeg{seg.Mbr(), seg});
+  return SweepSegsIntersect(s.red, s.blue, mode);
 }
 
-bool Intersects(const Geometry& a, const Geometry& b, SegmentTestMode mode) {
+bool Intersects(const GeometryView& a, const GeometryView& b,
+                SegmentTestMode mode) {
   if (!a.Mbr().Intersects(b.Mbr())) return false;
 
   const GeometryType ta = a.type();
@@ -153,84 +181,40 @@ bool Intersects(const Geometry& a, const Geometry& b, SegmentTestMode mode) {
     switch (tb) {
       case GeometryType::kPoint:
         return p == AnyVertex(b);
-      case GeometryType::kPolyline: {
-        const auto& chain = b.rings()[0];
-        for (size_t i = 0; i + 1 < chain.size(); ++i) {
-          if (PointOnSegment(p, Segment{chain[i], chain[i + 1]})) return true;
-        }
-        return false;
-      }
+      case GeometryType::kPolyline:
+        return AnySegment(b, [&p](const Point& s0, const Point& s1) {
+          return PointOnSegment(p, Segment{s0, s1});
+        });
       case GeometryType::kPolygon:
         return PointInPolygon(p, b);
     }
   }
 
-  if (ta == GeometryType::kPolyline && tb == GeometryType::kPolyline) {
-    std::vector<Segment> sa, sb;
-    a.CollectSegments(&sa);
-    b.CollectSegments(&sb);
-    return SegmentSetsIntersect(sa, sb, mode);
-  }
-
-  if (ta == GeometryType::kPolyline && tb == GeometryType::kPolygon) {
-    if (PolygonBoundariesIntersect(a, b, mode)) return true;
-    // No boundary contact: the polyline is either entirely inside or
-    // entirely outside the polygon — one vertex decides.
-    return PointInPolygon(AnyVertex(a), b);
-  }
-
-  // Polygon x polygon.
-  if (PolygonBoundariesIntersect(a, b, mode)) return true;
-  // Disjoint boundaries: either one contains the other or they are disjoint.
-  return PointInPolygon(AnyVertex(a), b) || PointInPolygon(AnyVertex(b), a);
+  if (BoundariesIntersect(a, b, mode)) return true;
+  if (tb != GeometryType::kPolygon) return false;  // Polyline x polyline.
+  // Disjoint boundaries: a polyline is entirely inside or entirely outside
+  // the polygon, so one vertex decides; two polygons are disjoint unless
+  // one contains the other.
+  return PointInPolygon(AnyVertex(a), b) ||
+         (ta == GeometryType::kPolygon && PointInPolygon(AnyVertex(b), a));
 }
 
-void BoundaryIntersectionPoints(const Geometry& a, const Geometry& b,
+void BoundaryIntersectionPoints(const GeometryView& a, const GeometryView& b,
                                 size_t max_points, std::vector<Point>* out) {
-  if (max_points == 0 || !a.Mbr().Intersects(b.Mbr())) return;
-  std::vector<Segment> sa, sb;
-  a.CollectSegments(&sa);
-  b.CollectSegments(&sb);
-  if (sa.empty() || sb.empty()) return;
-
-  std::vector<SweepSeg> r(sa.size());
-  std::vector<SweepSeg> s(sb.size());
-  for (size_t i = 0; i < sa.size(); ++i) r[i] = {sa[i].Mbr(), &sa[i]};
-  for (size_t i = 0; i < sb.size(); ++i) s[i] = {sb[i].Mbr(), &sb[i]};
-  auto by_xlo = [](const SweepSeg& x, const SweepSeg& y) {
-    return x.mbr.xlo < y.mbr.xlo;
-  };
-  std::sort(r.begin(), r.end(), by_xlo);
-  std::sort(s.begin(), s.end(), by_xlo);
-
-  auto scan = [&](const SweepSeg& head, const std::vector<SweepSeg>& other,
-                  size_t from) {
-    for (size_t k = from;
-         k < other.size() && other[k].mbr.xlo <= head.mbr.xhi; ++k) {
-      if (out->size() >= max_points) return;
-      if (head.mbr.ylo > other[k].mbr.yhi ||
-          other[k].mbr.ylo > head.mbr.yhi) {
-        continue;
-      }
-      Point witness;
-      if (SegmentIntersectionPoint(*head.seg, *other[k].seg, &witness)) {
-        out->push_back(witness);
-      }
+  if (out->size() >= max_points || !a.Mbr().Intersects(b.Mbr())) return;
+  SweepScratch& s = Scratch();
+  Fill(a, &s.red);
+  Fill(b, &s.blue);
+  Sweep(s.red, s.blue, [&](const SweepSeg& x, const SweepSeg& y) {
+    Point witness;
+    if (SegmentIntersectionPoint(x.seg, y.seg, &witness)) {
+      out->push_back(witness);
     }
-  };
-  size_t i = 0, j = 0;
-  while (i < r.size() && j < s.size() && out->size() < max_points) {
-    if (r[i].mbr.xlo <= s[j].mbr.xlo) {
-      scan(r[i], s, j);
-      ++i;
-    } else {
-      scan(s[j], r, i);
-      ++j;
-    }
-  }
+    return out->size() >= max_points;
+  });
 }
 
-bool Contains(const Geometry& outer, const Geometry& inner,
+bool Contains(const GeometryView& outer, const GeometryView& inner,
               SegmentTestMode mode) {
   if (outer.type() != GeometryType::kPolygon) return false;
   if (!outer.Mbr().Contains(inner.Mbr())) return false;
@@ -239,47 +223,40 @@ bool Contains(const Geometry& outer, const Geometry& inner,
     return PointInPolygon(AnyVertex(inner), outer);
   }
 
-  std::vector<Segment> inner_segs, outer_segs;
-  inner.CollectSegments(&inner_segs);
-  outer.CollectSegments(&outer_segs);
-  const bool boundaries_touch =
-      SegmentSetsIntersect(inner_segs, outer_segs, mode);
+  SweepScratch& s = Scratch();
+  Fill(inner, &s.red);
+  Fill(outer, &s.blue);
+  const bool boundaries_touch = SweepSegsIntersect(s.red, s.blue, mode);
+  auto outside = [&outer](const Point& p) {
+    return !PointInPolygon(p, outer);
+  };
 
-  if (boundaries_touch) {
-    // Conservative fallback: with boundary contact, require every vertex and
-    // every edge midpoint of `inner` to lie in `outer`. This accepts inner
-    // geometries that touch the boundary from the inside and rejects any
-    // proper crossing (a crossing leaves some midpoint or vertex outside for
-    // non-degenerate inputs).
-    for (const auto& ring : inner.rings()) {
-      for (const Point& p : ring) {
-        if (!PointInPolygon(p, outer)) return false;
-      }
+  if (boundaries_touch || mode == SegmentTestMode::kNaive) {
+    // With boundary contact, every vertex and every edge midpoint of
+    // `inner` must lie in `outer`: this accepts inner geometries that touch
+    // the boundary from the inside and rejects any proper crossing (a
+    // crossing leaves some midpoint or vertex outside for non-degenerate
+    // inputs). The unoptimized Paradise-style path checks every vertex
+    // even when the boundaries are disjoint.
+    for (const Point& p : inner.points()) {
+      if (outside(p)) return false;
     }
-    for (const Segment& s : inner_segs) {
-      const Point mid{(s.a.x + s.b.x) / 2, (s.a.y + s.b.y) / 2};
-      if (!PointInPolygon(mid, outer)) return false;
+    if (boundaries_touch &&
+        AnySegment(inner, [&outside](const Point& a, const Point& b) {
+          return outside(Point{(a.x + b.x) / 2, (a.y + b.y) / 2});
+        })) {
+      return false;
     }
-  } else {
+  } else if (outside(AnyVertex(inner))) {
     // Boundaries disjoint: `inner` is wholly inside or wholly outside.
-    if (mode == SegmentTestMode::kNaive) {
-      // The unoptimized Paradise-style path checks every vertex.
-      for (const auto& ring : inner.rings()) {
-        for (const Point& p : ring) {
-          if (!PointInPolygon(p, outer)) return false;
-        }
-      }
-    } else {
-      if (!PointInPolygon(AnyVertex(inner), outer)) return false;
-    }
+    return false;
   }
 
   // A hole of `outer` strictly inside `inner`'s area would carve it.
   if (inner.type() == GeometryType::kPolygon) {
-    const auto& outer_rings = outer.rings();
-    for (size_t h = 1; h < outer_rings.size(); ++h) {
-      if (PointInPolygon(outer_rings[h][0], inner) &&
-          !PointOnRingBoundary(outer_rings[h][0], inner.rings()[0])) {
+    for (size_t h = 1; h < outer.num_rings(); ++h) {
+      const Point& v = outer.ring(h)[0];
+      if (PointInPolygon(v, inner) && !PointOnRingBoundary(v, inner.ring(0))) {
         return false;
       }
     }

@@ -282,8 +282,7 @@ Status JoinService::RegisterDataset(const std::string& name,
     dataset->mbrs.reserve(info.cardinality);
     PBSM_RETURN_IF_ERROR(
         heap->Scan([&](Oid oid, const char* data, size_t size) -> Status {
-          PBSM_ASSIGN_OR_RETURN(const Tuple tuple, Tuple::Parse(data, size));
-          const Rect mbr = tuple.geometry.Mbr();
+          PBSM_ASSIGN_OR_RETURN(const Rect mbr, ParseTupleMbr(data, size));
           hist.Add(mbr);
           dataset->mbrs.emplace(oid.Encode(), mbr);
           return Status::OK();

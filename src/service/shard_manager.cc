@@ -77,8 +77,8 @@ Status ShardManager::EnsureLayout(const HeapFile* heap,
                         config_.histogram_ny);
   PBSM_RETURN_IF_ERROR(
       heap->Scan([&hist](Oid, const char* data, size_t size) -> Status {
-        PBSM_ASSIGN_OR_RETURN(const Tuple tuple, Tuple::Parse(data, size));
-        hist.Add(tuple.geometry.Mbr());
+        PBSM_ASSIGN_OR_RETURN(const Rect mbr, ParseTupleMbr(data, size));
+        hist.Add(mbr);
         return Status::OK();
       }));
   layout_ = ComputeShardLayout(hist, num_shards());
@@ -113,11 +113,14 @@ Status ShardManager::RegisterDataset(const std::string& name,
   }
 
   uint64_t replicated_copies = 0;
+  GeometryBuffer scratch;
+  TupleView tuple;
   PBSM_RETURN_IF_ERROR(heap->Scan([&](Oid global_oid, const char* data,
                                       size_t size) -> Status {
-    PBSM_ASSIGN_OR_RETURN(const Tuple tuple, Tuple::Parse(data, size));
+    scratch.clear();
+    PBSM_RETURN_IF_ERROR(ParseTupleView(data, size, &scratch, &tuple));
     const Rect mbr = tuple.geometry.Mbr();
-    const uint64_t points = tuple.geometry.num_points();
+    const uint64_t points = tuple.geometry.points().size();
     const ShardLayout::ShardRange range = layout.Overlapping(mbr);
     for (uint32_t sh = range.first; sh <= range.last; ++sh) {
       ShardDataset& slice = *slices[sh];

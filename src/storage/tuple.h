@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
 #include "geom/geometry.h"
@@ -28,9 +29,31 @@ struct Tuple {
   /// Serializes to a byte string suitable for HeapFile storage.
   std::string Serialize() const;
 
-  /// Parses a record produced by Serialize().
+  /// Parses a record produced by Serialize() into owned values. For
+  /// callers that keep the name, id or geometry; scans and refinement use
+  /// ParseTupleView.
   static Result<Tuple> Parse(const char* data, size_t size);
 };
+
+/// A parsed record that owns nothing: `name` points into the record bytes,
+/// `geometry` into the caller's GeometryBuffer.
+struct TupleView {
+  uint64_t id = 0;
+  uint32_t feature_class = 0;
+  std::string_view name;
+  GeometryView geometry;
+  Rect mer;  ///< Stored MER; empty when absent.
+};
+
+/// Parses a record produced by Tuple::Serialize() without allocating once
+/// `scratch` is warm: the vertices are appended to `*scratch` (see
+/// ParseGeometryView; nullptr parses the MBR only). Never reads a Point
+/// out of the record bytes in place — they may sit at any alignment.
+Status ParseTupleView(const char* data, size_t size, GeometryBuffer* scratch,
+                      TupleView* view);
+
+/// The MBR of a record's geometry, for scans that need nothing else.
+Result<Rect> ParseTupleMbr(const char* data, size_t size);
 
 }  // namespace pbsm
 

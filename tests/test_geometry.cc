@@ -4,23 +4,44 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "geom/predicates.h"
 #include "geom/segment.h"
+#include "storage/tuple.h"
 
 namespace pbsm {
 namespace {
+
+/// Owned parse of the first `size` bytes of `buf` through the view parser.
+Result<Geometry> ParseOwned(const std::string& buf, size_t size,
+                            size_t* consumed) {
+  GeometryBuffer storage;
+  GeometryView view;
+  PBSM_RETURN_IF_ERROR(
+      ParseGeometryView(reinterpret_cast<const uint8_t*>(buf.data()), size,
+                        &storage, &view, consumed));
+  return Geometry::FromParsed(view, std::move(storage));
+}
+
+std::vector<Segment> Segments(const GeometryView& g) {
+  std::vector<Segment> segs;
+  AnySegment(g, [&segs](const Point& a, const Point& b) {
+    segs.push_back(Segment{a, b});
+    return false;
+  });
+  return segs;
+}
 
 TEST(GeometryTest, PointBasics) {
   const Geometry g = Geometry::MakePoint({3, 4});
   EXPECT_EQ(g.type(), GeometryType::kPoint);
   EXPECT_EQ(g.num_points(), 1u);
   EXPECT_EQ(g.Mbr(), Rect(3, 4, 3, 4));
-  std::vector<Segment> segs;
-  g.CollectSegments(&segs);
+  const std::vector<Segment> segs = Segments(g);
   EXPECT_TRUE(segs.empty());
 }
 
@@ -29,8 +50,7 @@ TEST(GeometryTest, PolylineBasics) {
   EXPECT_EQ(g.type(), GeometryType::kPolyline);
   EXPECT_EQ(g.num_points(), 3u);
   EXPECT_EQ(g.Mbr(), Rect(0, 0, 3, 2));
-  std::vector<Segment> segs;
-  g.CollectSegments(&segs);
+  const std::vector<Segment> segs = Segments(g);
   // Open chain: 2 segments, no closing edge.
   ASSERT_EQ(segs.size(), 2u);
   EXPECT_EQ(segs[0].a, (Point{0, 0}));
@@ -45,8 +65,7 @@ TEST(GeometryTest, PolygonWithHoleBasics) {
   EXPECT_EQ(g.num_points(), 8u);
   EXPECT_EQ(g.num_holes(), 1u);
   EXPECT_EQ(g.Mbr(), Rect(0, 0, 10, 10));
-  std::vector<Segment> segs;
-  g.CollectSegments(&segs);
+  const std::vector<Segment> segs = Segments(g);
   // Rings are implicitly closed: 4 + 4 edges.
   EXPECT_EQ(segs.size(), 8u);
 }
@@ -57,8 +76,7 @@ TEST(GeometryTest, SerializationRoundTripPolyline) {
   g.AppendTo(&buf);
   EXPECT_EQ(buf.size(), g.SerializedSize());
   size_t consumed = 0;
-  auto parsed = Geometry::Parse(
-      reinterpret_cast<const uint8_t*>(buf.data()), buf.size(), &consumed);
+  auto parsed = ParseOwned(buf, buf.size(), &consumed);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(consumed, buf.size());
   EXPECT_EQ(*parsed, g);
@@ -73,8 +91,7 @@ TEST(GeometryTest, ParseRejectsTruncation) {
   for (const size_t cut : {size_t{0}, size_t{3}, buf.size() / 2,
                            buf.size() - 1}) {
     size_t consumed = 0;
-    auto parsed = Geometry::Parse(
-        reinterpret_cast<const uint8_t*>(buf.data()), cut, &consumed);
+    auto parsed = ParseOwned(buf, cut, &consumed);
     EXPECT_FALSE(parsed.ok()) << "cut=" << cut;
     if (!parsed.ok()) {
       EXPECT_EQ(parsed.status().code(), StatusCode::kCorruption);
@@ -87,8 +104,7 @@ TEST(GeometryTest, ParseRejectsBadTypeTag) {
   Geometry::MakePoint({1, 2}).AppendTo(&buf);
   buf[0] = 9;  // Invalid tag.
   size_t consumed = 0;
-  auto parsed = Geometry::Parse(
-      reinterpret_cast<const uint8_t*>(buf.data()), buf.size(), &consumed);
+  auto parsed = ParseOwned(buf, buf.size(), &consumed);
   EXPECT_FALSE(parsed.ok());
 }
 
@@ -136,8 +152,7 @@ TEST_P(GeometryRoundTripTest, RandomGeometriesSurviveSerialization) {
     g.AppendTo(&buf);
     ASSERT_EQ(buf.size(), g.SerializedSize());
     size_t consumed = 0;
-    auto parsed = Geometry::Parse(
-        reinterpret_cast<const uint8_t*>(buf.data()), buf.size(), &consumed);
+    auto parsed = ParseOwned(buf, buf.size(), &consumed);
     ASSERT_TRUE(parsed.ok());
     ASSERT_EQ(consumed, buf.size());
     EXPECT_EQ(*parsed, g);
@@ -328,6 +343,182 @@ TEST(GeometryFuzzTest, IntersectsModesAgreeAndAreSymmetric) {
       if (!a.Mbr().Intersects(b.Mbr())) EXPECT_FALSE(naive);
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Parse hardening: any byte string yields Corruption or a view that keeps
+// every Make* invariant the predicates rely on — never a crash, an
+// out-of-bounds read, or an allocation sized from an unchecked header.
+// Buffers are exact-size heap copies so the sanitizer builds see over-reads.
+// ---------------------------------------------------------------------------
+
+void ExpectValidView(const GeometryView& v) {
+  ASSERT_GE(v.num_rings(), 1u);
+  if (v.type() != GeometryType::kPolygon) {
+    ASSERT_EQ(v.num_rings(), 1u);
+  }
+  for (size_t r = 0; r < v.num_rings(); ++r) {
+    const size_t n = v.ring(r).size();
+    switch (v.type()) {
+      case GeometryType::kPoint:
+        EXPECT_EQ(n, 1u);
+        break;
+      case GeometryType::kPolyline:
+        EXPECT_GE(n, 2u);
+        break;
+      case GeometryType::kPolygon:
+        EXPECT_GE(n, 3u);
+        break;
+    }
+  }
+  EXPECT_EQ(v.ring_ends().back(), v.points().size());
+}
+
+/// Parses `bytes` as a tuple record from an exact-size heap buffer. A
+/// failure must be Corruption and leave the scratch's earlier content as it
+/// was; a success must be a valid view whose MBR the MBR-only parse
+/// reproduces. Returns whether the parse succeeded.
+bool CheckTupleParse(const std::string& bytes) {
+  const std::vector<char> record(bytes.begin(), bytes.end());
+  GeometryBuffer scratch;
+  scratch.points.push_back({-1, -1});  // An earlier geometry in the buffer.
+  scratch.ring_ends.push_back(1);
+  TupleView view;
+  const Status st =
+      ParseTupleView(record.data(), record.size(), &scratch, &view);
+  if (!st.ok()) {
+    EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+    EXPECT_EQ(scratch.points.size(), 1u);
+    EXPECT_EQ(scratch.ring_ends.size(), 1u);
+    return false;
+  }
+  ExpectValidView(view.geometry);
+  EXPECT_EQ(view.geometry.points().data(), scratch.points.data() + 1);
+  const auto mbr = ParseTupleMbr(record.data(), record.size());
+  EXPECT_TRUE(mbr.ok() && *mbr == view.geometry.Mbr());
+  return true;
+}
+
+std::vector<Geometry> HardeningCorpus() {
+  return {Geometry::MakePoint({1.5, -2}),
+          Geometry::MakePolyline({{0, 0}, {3, 1}, {4, -2}}),
+          Geometry::MakePolygon({{{0, 0}, {10, 0}, {10, 10}, {0, 10}},
+                                 {{4, 4}, {6, 4}, {6, 6}, {4, 6}}})};
+}
+
+std::string TupleRecord(const Geometry& g, size_t name_len, bool with_mer) {
+  Tuple t;
+  t.id = 42;
+  t.feature_class = 7;
+  t.name = std::string(name_len, 'n');
+  t.geometry = g;
+  if (with_mer) t.mer = Rect(1, 1, 2, 2);
+  return t.Serialize();
+}
+
+TEST(ParseHardeningTest, EveryPrefixIsCorruptionAndTheWholeIsValid) {
+  for (const Geometry& g : HardeningCorpus()) {
+    for (const bool with_mer : {false, true}) {
+      const std::string bytes = TupleRecord(g, 3, with_mer);
+      for (size_t cut = 0; cut < bytes.size(); ++cut) {
+        EXPECT_FALSE(CheckTupleParse(bytes.substr(0, cut))) << "cut=" << cut;
+      }
+      EXPECT_TRUE(CheckTupleParse(bytes));
+    }
+  }
+}
+
+TEST(ParseHardeningTest, MutatedHeadersNeverCrash) {
+  // Geometry header of a MER-less record: type byte, ring count, then the
+  // first ring's vertex count.
+  const size_t name_len = 5;
+  const size_t geom = sizeof(uint64_t) + sizeof(uint32_t) + 1 +
+                      sizeof(uint32_t) + name_len;
+  const uint32_t counts[] = {0, 1, 2, 3, 4, 1u << 20, 0x7fffffffu,
+                             0xffffffffu};
+  uint64_t accepted = 0, rejected = 0;
+  for (const Geometry& g : HardeningCorpus()) {
+    const std::string bytes = TupleRecord(g, name_len, false);
+    for (const uint8_t type : {0, 1, 2, 3, 4, 255}) {
+      std::string m = bytes;
+      m[geom] = static_cast<char>(type);
+      (CheckTupleParse(m) ? accepted : rejected) += 1;
+    }
+    for (const size_t field : {geom + 1, geom + 1 + sizeof(uint32_t)}) {
+      for (const uint32_t count : counts) {
+        std::string m = bytes;
+        std::memcpy(m.data() + field, &count, sizeof(count));
+        (CheckTupleParse(m) ? accepted : rejected) += 1;
+      }
+    }
+  }
+  // Both outcomes occur: unchanged and reinterpretable headers still parse.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
+TEST(ParseHardeningTest, RingInvariantsAreEnforced) {
+  // A 0-vertex point, a 1-vertex polyline and a 2-vertex polygon ring each
+  // carry enough bytes for their stated counts, yet break an invariant.
+  auto header = [](uint8_t type, uint32_t nrings) {
+    std::string out(1, static_cast<char>(type));
+    out.append(reinterpret_cast<const char*>(&nrings), sizeof(nrings));
+    return out;
+  };
+  auto ring = [](uint32_t n) {
+    std::string out(reinterpret_cast<const char*>(&n), sizeof(n));
+    for (uint32_t i = 0; i < n; ++i) {
+      const Point p{static_cast<double>(i), 1.0};
+      out.append(reinterpret_cast<const char*>(&p), sizeof(p));
+    }
+    return out;
+  };
+  const std::string pad(64, '\0');  // Trailing bytes a count could claim.
+  const std::string bad[] = {
+      header(1, 1) + ring(0) + pad,           // Point without a vertex.
+      header(1, 1) + ring(2),                 // Point with two vertices.
+      header(1, 2) + ring(1) + ring(1),       // Two-ring point.
+      header(2, 1) + ring(1) + pad,           // 1-vertex polyline.
+      header(2, 2) + ring(2) + ring(2),       // Two-ring polyline.
+      header(3, 1) + ring(2) + pad,           // 2-vertex polygon ring.
+      header(3, 2) + ring(3) + ring(2) + pad  // 2-vertex hole.
+  };
+  for (const std::string& bytes : bad) {
+    const std::vector<uint8_t> data(bytes.begin(), bytes.end());
+    GeometryBuffer scratch;
+    GeometryView view;
+    size_t consumed = 0;
+    const Status st =
+        ParseGeometryView(data.data(), data.size(), &scratch, &view, &consumed);
+    EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+    EXPECT_TRUE(scratch.points.empty());
+  }
+  const std::string good = header(3, 2) + ring(3) + ring(3);
+  const std::vector<uint8_t> data(good.begin(), good.end());
+  GeometryBuffer scratch;
+  GeometryView view;
+  size_t consumed = 0;
+  ASSERT_TRUE(
+      ParseGeometryView(data.data(), data.size(), &scratch, &view, &consumed)
+          .ok());
+  EXPECT_EQ(consumed, data.size());
+  ExpectValidView(view);
+}
+
+TEST(ParseHardeningTest, HugeRingCountAllocatesNothing) {
+  // 9 bytes claiming 2^20 rings: refuted before any scratch is sized.
+  const uint32_t nrings = 1u << 20;
+  std::vector<uint8_t> data(9, 0);
+  data[0] = static_cast<uint8_t>(GeometryType::kPolygon);
+  std::memcpy(data.data() + 1, &nrings, sizeof(nrings));
+  GeometryBuffer scratch;
+  GeometryView view;
+  size_t consumed = 0;
+  const Status st =
+      ParseGeometryView(data.data(), data.size(), &scratch, &view, &consumed);
+  EXPECT_EQ(st.code(), StatusCode::kCorruption);
+  EXPECT_EQ(scratch.points.capacity(), 0u);
+  EXPECT_EQ(scratch.ring_ends.capacity(), 0u);
 }
 
 }  // namespace

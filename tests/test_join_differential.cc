@@ -104,9 +104,7 @@ TEST_F(JoinDifferentialTest, AllMethodsMatchBruteForceOracleAcrossSweep) {
           SCOPED_TRACE(DedupModeName(mode));
           // The refinement strategy is shared by every method downstream of
           // its filter, so adaptive true-hit filtering must be
-          // result-invariant on each of them (kApproximate is exempt — it
-          // trades exactness away by contract and is covered by the fuzz
-          // suite's conservatism bounds instead).
+          // result-invariant on each of them.
           for (const RefineMode refine :
                {RefineMode::kExact, RefineMode::kAdaptive}) {
             SCOPED_TRACE(RefineModeName(refine));

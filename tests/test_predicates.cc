@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cmath>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -190,6 +193,60 @@ TEST_P(SegmentSetPropertyTest, NaiveMatchesSweep) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SegmentSetPropertyTest,
                          ::testing::Values(11, 22, 33, 44));
+
+TEST(PredicateConcurrencyTest, ThreadsAgreeWithSingleThreadAnswers) {
+  // The segment sweep reuses per-thread scratch arrays. Four threads
+  // evaluating Intersects and Contains on the same shared geometries at
+  // once must reproduce the single-thread answers (and stay clean under
+  // the TSan build).
+  Rng rng(2024);
+  std::vector<Geometry> geoms;
+  for (int i = 0; i < 48; ++i) {
+    const Point c{rng.UniformDouble(0, 30), rng.UniformDouble(0, 30)};
+    const int n = 3 + static_cast<int>(rng.Uniform(12));
+    std::vector<Point> pts;
+    for (int k = 0; k < n; ++k) {
+      const double angle = (k + rng.NextDouble() * 0.8) * 2.0 * M_PI / n;
+      const double r = rng.UniformDouble(1.0, 8.0);
+      pts.push_back({c.x + r * std::cos(angle), c.y + r * std::sin(angle)});
+    }
+    geoms.push_back(i % 3 == 0 ? Geometry::MakePolyline(std::move(pts))
+                               : Geometry::MakePolygon({std::move(pts)}));
+  }
+  // Answer k encodes pair (k / n, k % n): bit 0 Intersects, bit 1 Contains.
+  const size_t n = geoms.size();
+  std::vector<uint8_t> expected(n * n);
+  uint64_t hits = 0;
+  for (size_t k = 0; k < n * n; ++k) {
+    const Geometry& a = geoms[k / n];
+    const Geometry& b = geoms[k % n];
+    expected[k] = (Intersects(a, b) ? 1 : 0) | (Contains(a, b) ? 2 : 0);
+    hits += expected[k] & 1;
+  }
+  ASSERT_GT(hits, n);  // Not only the diagonal.
+  ASSERT_LT(hits, n * n);
+
+  std::atomic<uint64_t> mismatches{0};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int rep = 0; rep < 4; ++rep) {
+        // Each thread walks the pairs from a different start, so the
+        // threads interleave over the same geometries.
+        for (size_t i = 0; i < n * n; ++i) {
+          const size_t k = (i + t * n * n / 4) % (n * n);
+          const Geometry& a = geoms[k / n];
+          const Geometry& b = geoms[k % n];
+          const uint8_t got =
+              (Intersects(a, b) ? 1 : 0) | (Contains(a, b) ? 2 : 0);
+          if (got != expected[k]) mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+}
 
 }  // namespace
 }  // namespace pbsm

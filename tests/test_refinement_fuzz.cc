@@ -15,7 +15,9 @@
 //    contradict the exact predicate;
 //  * curve hierarchy — a coarse Hilbert/Z cell is one contiguous key
 //    interval at the finest order (what lets coarse per-object cells become
-//    CellRuns).
+//    CellRuns);
+//  * parse alignment — predicates over views parsed from record bytes, at
+//    every vertex-array alignment, answer exactly as the owned geometries.
 
 #include "core/refinement_engine.h"
 
@@ -23,11 +25,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/join_options.h"
 #include "geom/predicates.h"
+#include "storage/tuple.h"
 
 namespace pbsm {
 namespace {
@@ -97,10 +102,13 @@ Geometry RandomGeometry(Rng* rng, const Rect& region) {
 }
 
 /// Boundary segments of `g` in the cover's ring-major id order (the order
-/// ring_seg_off / bucket_seg index into).
+/// bucket_seg indexes into).
 std::vector<Segment> BoundarySegments(const Geometry& g) {
   std::vector<Segment> segs;
-  g.CollectSegments(&segs);
+  AnySegment(g, [&segs](const Point& a, const Point& b) {
+    segs.push_back(Segment{a, b});
+    return false;
+  });
   return segs;
 }
 
@@ -150,9 +158,7 @@ TEST_F(RefinementFuzzTest, OccupancyBitsAreOverInclusive) {
     ASSERT_TRUE(cover.built);
 
     std::vector<Point> samples;
-    for (const auto& ring : g.rings()) {
-      for (const Point& p : ring) samples.push_back(p);
-    }
+    for (const Point& p : g.view().points()) samples.push_back(p);
     for (const Segment& s : BoundarySegments(g)) {
       for (int k = 0; k < 8; ++k) {
         const double t = rng.NextDouble();
@@ -229,10 +235,8 @@ TEST_F(RefinementFuzzTest, SegmentBucketsAreComplete) {
                       /*build_runs=*/true, /*build_rects=*/true,
                       /*build_buckets=*/true);
     const std::vector<Segment> segs = BoundarySegments(g);
-    ASSERT_FALSE(cover.ring_seg_off.empty());
-    // The ring offset table's sentinel is the total segment count and the
-    // bucketed ids must stay within it.
-    EXPECT_EQ(cover.ring_seg_off.back(), segs.size());
+    ASSERT_FALSE(cover.bucket_off.empty());
+    // Bucketed ids (first-vertex indices) must name real segments.
     for (const uint16_t sid : cover.bucket_seg) {
       ASSERT_LT(sid, segs.size());
     }
@@ -259,69 +263,58 @@ TEST_F(RefinementFuzzTest, SegmentBucketsAreComplete) {
 TEST_F(RefinementFuzzTest, ClassificationNeverContradictsExactOracle) {
   // The engine may defer (kNeedExact), but a certain verdict must match the
   // exact predicate: kHit only on true pairs, kMiss only on false ones.
-  // Approximate mode may additionally accept uncertain pairs (kAccepted) —
-  // by contract a superset — but its certain verdicts obey the same rule.
   Rng rng(kFuzzSeed + 3);
-  uint64_t hits = 0, misses = 0, deferred = 0, accepted = 0;
+  uint64_t hits = 0, misses = 0, deferred = 0;
   for (const SpatialPredicate pred :
        {SpatialPredicate::kIntersects, SpatialPredicate::kContains}) {
-    for (const RefineMode mode :
-         {RefineMode::kAdaptive, RefineMode::kApproximate}) {
-      RefineOptions opts;
-      opts.mode = mode;
-      opts.grid_order = 7;
-      std::unique_ptr<RefinementEngine> engine =
-          RefinementEngine::Create(pred, opts, universe_, 2.0, 2.0);
-      ASSERT_NE(engine->grid(), nullptr);
-      for (int iter = 0; iter < 250; ++iter) {
-        // Bias most pairs into one small shared window — independent draws
-        // over the full universe are nearly always trivially disjoint, and
-        // the certain-verdict assertions would go vacuous. For containment,
-        // S is additionally drawn from the middle of R's MBR so true
-        // containments actually occur.
-        Rect region = universe_;
-        if (rng.Bernoulli(0.8)) {
-          const double w = rng.UniformDouble(4.0, 12.0);
-          const double x = rng.UniformDouble(universe_.xlo, universe_.xhi - w);
-          const double y = rng.UniformDouble(universe_.ylo, universe_.yhi - w);
-          region = Rect(x, y, x + w, y + w);
-        }
-        // kContains needs a polygon on the R (outer) side to be satisfiable.
-        const Geometry r = pred == SpatialPredicate::kContains
-                               ? RandomPolygon(&rng, region, false)
-                               : RandomGeometry(&rng, region);
-        Rect s_region = region;
-        if (pred == SpatialPredicate::kContains && rng.Bernoulli(0.6)) {
-          const Rect& m = r.Mbr();
-          const double sw = m.width() / 4.0, sh = m.height() / 4.0;
-          s_region = Rect(m.xlo + sw, m.ylo + sh, m.xhi - sw, m.yhi - sh);
-        }
-        const Geometry s = RandomGeometry(&rng, s_region);
-        CellCover s_cover;
-        engine->BuildCover(s, &s_cover);
-        CellCover r_cover;
-        const CellDecision d = engine->Classify(r, &r_cover, s, s_cover);
-        const bool oracle =
-            EvaluatePredicate(pred, r, s, SegmentTestMode::kPlaneSweep);
-        switch (d) {
-          case CellDecision::kHit:
-            EXPECT_TRUE(oracle) << "false positive kHit";
-            ++hits;
-            break;
-          case CellDecision::kMiss:
-            EXPECT_FALSE(oracle) << "false negative kMiss";
-            ++misses;
-            break;
-          case CellDecision::kNeedExact:
-            // Legitimate in both modes: approximate still defers e.g. a
-            // non-polygon R under contains rather than guess.
-            ++deferred;
-            break;
-          case CellDecision::kAccepted:
-            EXPECT_EQ(mode, RefineMode::kApproximate);
-            ++accepted;
-            break;
-        }
+    RefineOptions opts;
+    opts.mode = RefineMode::kAdaptive;
+    opts.grid_order = 7;
+    std::unique_ptr<RefinementEngine> engine =
+        RefinementEngine::Create(pred, opts, universe_, 2.0, 2.0);
+    ASSERT_NE(engine->grid(), nullptr);
+    for (int iter = 0; iter < 500; ++iter) {
+      // Bias most pairs into one small shared window — independent draws
+      // over the full universe are nearly always trivially disjoint, and
+      // the certain-verdict assertions would go vacuous. For containment,
+      // S is additionally drawn from the middle of R's MBR so true
+      // containments actually occur.
+      Rect region = universe_;
+      if (rng.Bernoulli(0.8)) {
+        const double w = rng.UniformDouble(4.0, 12.0);
+        const double x = rng.UniformDouble(universe_.xlo, universe_.xhi - w);
+        const double y = rng.UniformDouble(universe_.ylo, universe_.yhi - w);
+        region = Rect(x, y, x + w, y + w);
+      }
+      // kContains needs a polygon on the R (outer) side to be satisfiable.
+      const Geometry r = pred == SpatialPredicate::kContains
+                             ? RandomPolygon(&rng, region, false)
+                             : RandomGeometry(&rng, region);
+      Rect s_region = region;
+      if (pred == SpatialPredicate::kContains && rng.Bernoulli(0.6)) {
+        const Rect& m = r.Mbr();
+        const double sw = m.width() / 4.0, sh = m.height() / 4.0;
+        s_region = Rect(m.xlo + sw, m.ylo + sh, m.xhi - sw, m.yhi - sh);
+      }
+      const Geometry s = RandomGeometry(&rng, s_region);
+      CellCover s_cover;
+      engine->BuildCover(s, &s_cover);
+      CellCover r_cover;
+      const CellDecision d = engine->Classify(r, &r_cover, s, s_cover);
+      const bool oracle =
+          EvaluatePredicate(pred, r, s, SegmentTestMode::kPlaneSweep);
+      switch (d) {
+        case CellDecision::kHit:
+          EXPECT_TRUE(oracle) << "false positive kHit";
+          ++hits;
+          break;
+        case CellDecision::kMiss:
+          EXPECT_FALSE(oracle) << "false negative kMiss";
+          ++misses;
+          break;
+        case CellDecision::kNeedExact:
+          ++deferred;
+          break;
       }
     }
   }
@@ -330,7 +323,74 @@ TEST_F(RefinementFuzzTest, ClassificationNeverContradictsExactOracle) {
   EXPECT_GT(hits, 50u);
   EXPECT_GT(misses, 50u);
   EXPECT_GT(deferred, 20u);
-  EXPECT_GT(accepted, 20u);
+}
+
+TEST_F(RefinementFuzzTest, ParsedViewsMatchOwnedGeometryAtEveryAlignment) {
+  // Refinement parses tuples straight out of page bytes, where a record's
+  // vertex array sits at whatever offset its name length leaves. Name
+  // lengths 0-7 put it at every byte offset mod 8; views parsed from those
+  // records must reproduce the owned geometries' predicate answers and
+  // bit-identical MBRs. (A Point* cast of record bytes would also trip the
+  // UBSan build's alignment check here.)
+  Rng rng(kFuzzSeed + 5);
+  uint64_t intersecting = 0, containing = 0;
+  for (int iter = 0; iter < 300; ++iter) {
+    Rect region = universe_;
+    if (rng.Bernoulli(0.8)) {
+      const double w = rng.UniformDouble(4.0, 12.0);
+      const double x = rng.UniformDouble(universe_.xlo, universe_.xhi - w);
+      const double y = rng.UniformDouble(universe_.ylo, universe_.yhi - w);
+      region = Rect(x, y, x + w, y + w);
+    }
+    const Geometry outer = RandomPolygon(&rng, region, rng.Bernoulli(0.3));
+    if (rng.Bernoulli(0.5)) {
+      // Draw the other side from the middle of the polygon's MBR, so that
+      // containments actually occur.
+      const Rect& m = outer.Mbr();
+      const double sw = m.width() / 4.0, sh = m.height() / 4.0;
+      region = Rect(m.xlo + sw, m.ylo + sh, m.xhi - sw, m.yhi - sh);
+    }
+    const Geometry other = RandomGeometry(&rng, region);
+    const bool intersects = Intersects(outer, other);
+    const bool contains = Contains(outer, other);
+    intersecting += intersects ? 1 : 0;
+    containing += contains ? 1 : 0;
+    for (size_t name_len = 0; name_len < 8; ++name_len) {
+      auto record = [&](const Geometry& g, size_t len) {
+        Tuple t;
+        t.name = std::string(len, 'x');
+        t.geometry = g;
+        const std::string bytes = t.Serialize();
+        return std::vector<char>(bytes.begin(), bytes.end());
+      };
+      const std::vector<char> outer_rec = record(outer, name_len);
+      const std::vector<char> other_rec = record(other, 7 - name_len);
+      GeometryBuffer outer_buf, other_buf;
+      TupleView outer_view, other_view;
+      ASSERT_TRUE(ParseTupleView(outer_rec.data(), outer_rec.size(),
+                                 &outer_buf, &outer_view)
+                      .ok());
+      ASSERT_TRUE(ParseTupleView(other_rec.data(), other_rec.size(),
+                                 &other_buf, &other_view)
+                      .ok());
+      const GeometryView& ov = outer_view.geometry;
+      const GeometryView& tv = other_view.geometry;
+      EXPECT_EQ(std::memcmp(&ov.Mbr(), &outer.Mbr(), sizeof(Rect)), 0);
+      EXPECT_EQ(std::memcmp(&tv.Mbr(), &other.Mbr(), sizeof(Rect)), 0);
+      ASSERT_TRUE(std::equal(tv.points().begin(), tv.points().end(),
+                             other.view().points().begin(),
+                             other.view().points().end()));
+      EXPECT_EQ(Intersects(ov, tv), intersects)
+          << "iter " << iter << " name_len " << name_len;
+      EXPECT_EQ(Intersects(tv, ov), intersects);
+      EXPECT_EQ(Contains(ov, tv), contains)
+          << "iter " << iter << " name_len " << name_len;
+    }
+  }
+  // Both answers of both predicates occur, or the equalities prove little.
+  EXPECT_GT(intersecting, 30u);
+  EXPECT_LT(intersecting, 270u);
+  EXPECT_GT(containing, 5u);
 }
 
 TEST_F(RefinementFuzzTest, CurveHierarchyIsPrefixContiguous) {

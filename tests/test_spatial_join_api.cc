@@ -66,13 +66,11 @@ TEST_F(SpatialJoinApiTest, MethodNamesRoundTrip) {
 }
 
 TEST_F(SpatialJoinApiTest, RefineModeNamesRoundTrip) {
-  for (const RefineMode m : {RefineMode::kExact, RefineMode::kAdaptive,
-                             RefineMode::kApproximate}) {
+  for (const RefineMode m : {RefineMode::kExact, RefineMode::kAdaptive}) {
     const auto parsed = ParseRefineMode(RefineModeName(m));
     ASSERT_TRUE(parsed.ok()) << RefineModeName(m);
     EXPECT_EQ(*parsed, m);
   }
-  EXPECT_EQ(*ParseRefineMode("approx"), RefineMode::kApproximate);
   EXPECT_FALSE(ParseRefineMode("fuzzy").ok());
 }
 
@@ -158,8 +156,7 @@ TEST_F(SpatialJoinApiTest, AdaptiveRefineReportsCellFilterMetrics) {
   const uint64_t fallbacks =
       result.metrics.counter("refinement.exact_fallbacks");
   EXPECT_EQ(skipped, result.metrics.counter("refinement.true_hits") +
-                         result.metrics.counter("refinement.cell_rejects") +
-                         result.metrics.counter("refinement.approx_accepted"));
+                         result.metrics.counter("refinement.cell_rejects"));
   EXPECT_GT(skipped + fallbacks, 0u);
 }
 

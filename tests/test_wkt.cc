@@ -12,7 +12,7 @@ namespace {
 TEST(WktParseTest, Point) {
   PBSM_ASSERT_OK_AND_ASSIGN(const Geometry g, ParseWkt("POINT (3.5 -4.25)"));
   EXPECT_EQ(g.type(), GeometryType::kPoint);
-  EXPECT_EQ(g.rings()[0][0], (Point{3.5, -4.25}));
+  EXPECT_EQ(g.ring(0)[0], (Point{3.5, -4.25}));
 }
 
 TEST(WktParseTest, LineString) {
@@ -30,7 +30,7 @@ TEST(WktParseTest, PolygonWithHole) {
   EXPECT_EQ(g.type(), GeometryType::kPolygon);
   EXPECT_EQ(g.num_holes(), 1u);
   // The repeated closing vertex is dropped.
-  EXPECT_EQ(g.rings()[0].size(), 4u);
+  EXPECT_EQ(g.ring(0).size(), 4u);
   EXPECT_TRUE(PointInPolygon({1, 1}, g));
   EXPECT_FALSE(PointInPolygon({5, 5}, g));
 }
@@ -84,13 +84,13 @@ TEST_P(WktRoundTripTest, ToWktParsesBack) {
     ASSERT_TRUE(parsed.ok()) << g.ToWkt() << " -> "
                              << parsed.status().ToString();
     EXPECT_EQ(parsed->type(), g.type());
-    EXPECT_EQ(parsed->rings().size(), g.rings().size());
+    EXPECT_EQ(parsed->num_rings(), g.num_rings());
     // ToWkt prints with %f precision (6 digits); compare approximately.
-    for (size_t r = 0; r < g.rings().size(); ++r) {
-      ASSERT_EQ(parsed->rings()[r].size(), g.rings()[r].size());
-      for (size_t i = 0; i < g.rings()[r].size(); ++i) {
-        EXPECT_NEAR(parsed->rings()[r][i].x, g.rings()[r][i].x, 1e-5);
-        EXPECT_NEAR(parsed->rings()[r][i].y, g.rings()[r][i].y, 1e-5);
+    for (size_t r = 0; r < g.num_rings(); ++r) {
+      ASSERT_EQ(parsed->ring(r).size(), g.ring(r).size());
+      for (size_t i = 0; i < g.ring(r).size(); ++i) {
+        EXPECT_NEAR(parsed->ring(r)[i].x, g.ring(r)[i].x, 1e-5);
+        EXPECT_NEAR(parsed->ring(r)[i].y, g.ring(r)[i].y, 1e-5);
       }
     }
   }
