@@ -3,9 +3,6 @@
 // cost increases by ~62%. Runs PBSM Road JOIN Hydrography with the
 // plane-sweep refinement and with the naive all-pairs segment test, and
 // compares the refinement-phase and total costs.
-//
-// Also reports the interval-tree sweep variant of the *filter* step's
-// partition merge (the §3.1 footnote), as an extra ablation.
 
 #include <cstdio>
 
@@ -38,15 +35,10 @@ void Run() {
   struct Config {
     const char* label;
     SegmentTestMode mode;
-    SweepAlgorithm filter_sweep;
   };
   static const Config kConfigs[] = {
-      {"plane-sweep refinement", SegmentTestMode::kPlaneSweep,
-       SweepAlgorithm::kForwardSweep},
-      {"naive refinement", SegmentTestMode::kNaive,
-       SweepAlgorithm::kForwardSweep},
-      {"interval-tree filter sweep", SegmentTestMode::kPlaneSweep,
-       SweepAlgorithm::kIntervalTreeSweep},
+      {"plane-sweep refinement", SegmentTestMode::kPlaneSweep},
+      {"naive refinement", SegmentTestMode::kNaive},
   };
   for (const Config& c : kConfigs) {
     Workspace ws(pool_bytes);
@@ -57,7 +49,6 @@ void Run() {
     ws.disk()->ResetStats();
     JoinOptions opts = MakeJoinOptions(pool_bytes);
     opts.refinement_mode = c.mode;
-    opts.sweep = c.filter_sweep;
     JoinSpec spec;
     spec.method = JoinMethod::kPbsm;
     spec.options = opts;
@@ -65,10 +56,7 @@ void Run() {
     PBSM_CHECK(joined.ok()) << joined.status().ToString();
     const JoinCostBreakdown* cost = &joined->breakdown;
     const double refine = RefinementSeconds(*cost);
-    if (c.mode == SegmentTestMode::kPlaneSweep &&
-        c.filter_sweep == SweepAlgorithm::kForwardSweep) {
-      sweep_refine = refine;
-    }
+    if (c.mode == SegmentTestMode::kPlaneSweep) sweep_refine = refine;
     std::printf("  %-28s refinement=%8.3fs total=%8.3fs results=%llu\n",
                 c.label, refine, PaperSeconds(cost->Total()),
                 static_cast<unsigned long long>(cost->results));

@@ -1,7 +1,6 @@
-// Extension bench: the *real* multi-threaded PBSM executor
-// (ParallelPbsmJoin), as opposed to the simulated shared-nothing cluster of
-// bench_ext_parallel_pbsm. Sweeps the worker-thread count on the TIGER-like
-// Road ⋈ Hydrography workload and emits one JSON object per configuration:
+// Extension bench: the multi-threaded PBSM executor (ParallelPbsmJoin).
+// Sweeps the worker-thread count on the TIGER-like Road ⋈ Hydrography
+// workload and emits one JSON object per configuration:
 //
 //   {"threads": N, "wall_seconds": ..., "wall_speedup": ...,
 //    "critical_path_speedup": ..., "sweep_balance_cov": ..., ...}

@@ -1,6 +1,6 @@
 // Microbenchmarks for the in-memory plane-sweep rectangle join (the PBSM
-// partition-merge kernel): forward sweep vs interval-tree sweep vs nested
-// loops across input sizes and selectivities.
+// partition-merge kernel): the §3.1 forward sweep, sort included, across
+// input sizes and selectivities.
 //
 // `bench_micro_sweep --compare-kernels` skips google-benchmark and instead
 // runs the scalar-vs-SIMD filter-kernel comparison: for each workload it
@@ -50,7 +50,7 @@ std::vector<KeyPointer> RandomRects(size_t n, double size, uint64_t seed) {
   return out;
 }
 
-void RunSweep(benchmark::State& state, SweepAlgorithm algo) {
+void BM_ForwardSweep(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const double size = static_cast<double>(state.range(1));
   const auto r0 = RandomRects(n, size, 1);
@@ -59,36 +59,18 @@ void RunSweep(benchmark::State& state, SweepAlgorithm algo) {
   for (auto _ : state) {
     auto r = r0;
     auto s = s0;
-    pairs = PlaneSweepJoin(&r, &s, [](uint64_t, uint64_t) {}, algo);
+    pairs = PlaneSweepJoinBatch(&r, &s, [](const OidPair*, size_t) {});
     benchmark::DoNotOptimize(pairs);
   }
   state.counters["pairs"] = static_cast<double>(pairs);
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(2 * n));
 }
-
-void BM_ForwardSweep(benchmark::State& state) {
-  RunSweep(state, SweepAlgorithm::kForwardSweep);
-}
 BENCHMARK(BM_ForwardSweep)
     ->Args({1000, 2})
     ->Args({10000, 2})
     ->Args({100000, 2})
     ->Args({10000, 20});
-
-void BM_IntervalTreeSweep(benchmark::State& state) {
-  RunSweep(state, SweepAlgorithm::kIntervalTreeSweep);
-}
-BENCHMARK(BM_IntervalTreeSweep)
-    ->Args({1000, 2})
-    ->Args({10000, 2})
-    ->Args({100000, 2})
-    ->Args({10000, 20});
-
-void BM_NestedLoopsJoin(benchmark::State& state) {
-  RunSweep(state, SweepAlgorithm::kNestedLoops);
-}
-BENCHMARK(BM_NestedLoopsJoin)->Args({1000, 2})->Args({10000, 2});
 
 // ---------------------------------------------------------------------------
 // --compare-kernels mode.
@@ -113,8 +95,8 @@ double TimeSweepMs(std::vector<KeyPointer>* r, std::vector<KeyPointer>* s,
     uint64_t count = 0;
     const auto t0 = std::chrono::steady_clock::now();
     PlaneSweepJoinBatch(
-        r, s, [&count](const OidPair*, size_t k) { count += k; },
-        SweepAlgorithm::kForwardSweep, simd, InputOrder::kSortedByXlo);
+        r, s, [&count](const OidPair*, size_t k) { count += k; }, simd,
+        InputOrder::kSortedByXlo);
     const auto t1 = std::chrono::steady_clock::now();
     const double ms =
         std::chrono::duration<double, std::milli>(t1 - t0).count();
@@ -152,11 +134,9 @@ int RunCompareKernels() {
     // Correctness first: the two kernels must emit the identical pair SET.
     std::vector<OidPair> scalar_pairs, simd_pairs;
     PlaneSweepJoinBatch(&r, &s, VectorBatchSink{&scalar_pairs},
-                        SweepAlgorithm::kForwardSweep, SimdMode::kScalar,
-                        InputOrder::kSortedByXlo);
+                        SimdMode::kScalar, InputOrder::kSortedByXlo);
     PlaneSweepJoinBatch(&r, &s, VectorBatchSink{&simd_pairs},
-                        SweepAlgorithm::kForwardSweep, SimdMode::kAvx2,
-                        InputOrder::kSortedByXlo);
+                        SimdMode::kAvx2, InputOrder::kSortedByXlo);
     auto by_pair = [](const OidPair& a, const OidPair& b) {
       return a.r != b.r ? a.r < b.r : a.s < b.s;
     };
@@ -258,10 +238,6 @@ RefineRun RunRefineMode(const JoinCase& c, size_t budget_bytes,
     if (const char* go = std::getenv("PBSM_REFINE_GRID_ORDER")) {
       spec.options.refine.grid_order =
           static_cast<uint32_t>(std::atoi(go));
-    }
-    if (const char* mr = std::getenv("PBSM_REFINE_MIN_RUN")) {
-      spec.options.refine.min_cover_pairs =
-          static_cast<uint32_t>(std::atoi(mr));
     }
     spec.parallel_stats = &stats;
     spec.sink = [&pairs](Oid ro, Oid so) {

@@ -41,7 +41,6 @@ struct JoinOptions {
   // --- PBSM filter step (§3.1, §3.4) ---
   uint32_t num_tiles = 1024;  ///< Requested NT (the paper's default).
   TileMapping mapping = TileMapping::kHash;
-  SweepAlgorithm sweep = SweepAlgorithm::kForwardSweep;
   /// Filter-kernel selection for plane sweeps and R-tree node scans. kAuto
   /// consults the PBSM_SIMD environment variable, then CPUID.
   SimdMode simd = SimdMode::kAuto;

@@ -90,7 +90,7 @@ Status SweepInto(std::vector<KeyPointer>* r, std::vector<KeyPointer>* s,
   Status append_status;
   breakdown->candidates += PlaneSweepJoinBatch(
       r, s, SorterBatchSink<CandidateSorter>{sorter, &append_status},
-      opts.sweep, opts.simd);
+      opts.simd);
   return append_status;
 }
 

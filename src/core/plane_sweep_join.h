@@ -1,27 +1,12 @@
 #ifndef PBSM_CORE_PLANE_SWEEP_JOIN_H_
 #define PBSM_CORE_PLANE_SWEEP_JOIN_H_
 
-#include <cstdint>
-#include <functional>
-#include <vector>
-
-#include "core/key_pointer.h"
+// Knobs of the in-memory rectangle join that merges one partition pair
+// (the §3.1 forward sweep). The sweep itself is PlaneSweepJoinBatch in
+// core/sweep_kernel.h; this header stays light so JoinOptions and the
+// R-tree can name the knobs without pulling in the kernels.
 
 namespace pbsm {
-
-/// Algorithm used to merge one partition pair of key-pointer sets.
-enum class SweepAlgorithm {
-  /// The paper's §3.1 algorithm: sort both inputs on MBR.xlo, repeatedly
-  /// pick the unprocessed element with the smallest xlo and scan the other
-  /// input up to its xhi, testing y-overlap per element.
-  kForwardSweep,
-  /// The footnote's variant: an event-driven sweep that keeps the active
-  /// y-intervals of each input in an interval tree, so the y-overlap test
-  /// is a tree query instead of a per-element check.
-  kIntervalTreeSweep,
-  /// All-pairs with MBR test; only sensible for tests and tiny inputs.
-  kNestedLoops,
-};
 
 /// Which data-parallel kernel the forward sweep and node scans run on.
 /// kAuto consults the PBSM_SIMD environment variable (`auto|avx2|scalar`),
@@ -32,24 +17,6 @@ enum class SimdMode { kAuto, kScalar, kAvx2 };
 /// repartition path routes an already-sorted parent into sub-partitions in
 /// order, so the recursive sweeps can skip the std::sort.
 enum class InputOrder { kUnsorted, kSortedByXlo };
-
-/// Emits every (r.oid, s.oid) pair whose MBRs overlap.
-using PairEmitter = std::function<void(uint64_t r_oid, uint64_t s_oid)>;
-
-/// In-memory rectangle join between two key-pointer sets (one partition
-/// pair). Sorts `r` and `s` in place as a side effect (skipped when
-/// `order` promises they are sorted on mbr.xlo already). Returns the
-/// number of emitted pairs.
-///
-/// This is the legacy per-pair-emitter wrapper; hot paths use the batch
-/// API in core/sweep_kernel.h (PlaneSweepJoinBatch) which flushes
-/// OidPair blocks without a std::function call per pair.
-uint64_t PlaneSweepJoin(std::vector<KeyPointer>* r,
-                        std::vector<KeyPointer>* s, const PairEmitter& emit,
-                        SweepAlgorithm algorithm =
-                            SweepAlgorithm::kForwardSweep,
-                        SimdMode simd = SimdMode::kAuto,
-                        InputOrder order = InputOrder::kUnsorted);
 
 }  // namespace pbsm
 

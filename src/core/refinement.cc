@@ -15,6 +15,14 @@ namespace pbsm {
 
 namespace {
 
+/// Cost guard on cover construction in adaptive mode: an S tuple whose run
+/// of candidate pairs (they arrive sorted on OID_S) is shorter than this
+/// pays the exact predicate directly instead of rasterizing. Building a
+/// cover is O(boundary length), so it only beats per-pair exact tests when
+/// enough pairs amortize it (the build-vs-probe tradeoff of adaptive
+/// geospatial joins).
+constexpr size_t kMinCoverPairs = 3;
+
 /// An R tuple held in memory for one refinement block. Its geometry view
 /// points into the block arena and lives exactly as long as the block.
 struct BlockTuple {
@@ -256,9 +264,7 @@ Status RefineLoop(const SortedPairStream& next, const JoinInput& r,
     // directly — the cost-based side of the adaptive engine. ----
     std::optional<TraceSpan> span;
     if (adaptive) span.emplace("refine/cell_filter");
-    const size_t min_run =
-        adaptive ? std::max<uint32_t>(opts.refine.min_cover_pairs, 1)
-                 : SIZE_MAX;
+    const size_t min_run = adaptive ? kMinCoverPairs : SIZE_MAX;
     for (size_t i = 0; i < pairs.size();) {
       size_t j = i + 1;
       while (j < pairs.size() && pairs[j].s_oid == pairs[i].s_oid) ++j;

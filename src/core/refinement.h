@@ -37,12 +37,11 @@ using SortedPairStream = std::function<Result<bool>(OidPair*)>;
 /// With opts.refine.mode != kExact the block loop is driven by the query's
 /// RefinementEngine ("refine/cell_filter" trace sub-span): each run of
 /// equal-OID_S pairs rasterizes its S geometry into a scratch
-/// interior/boundary cell cover (runs shorter than
-/// opts.refine.min_cover_pairs skip the build), certain hits and misses are
-/// settled at cell level, and boundary collisions pay the exact predicate
-/// inline while the parsed S geometry is in hand. The inputs' catalog
-/// entries supply the join universe and the extent statistics the auto grid
-/// order derives from.
+/// interior/boundary cell cover (runs of fewer than three pairs skip the
+/// build), certain hits and misses are settled at cell level, and boundary
+/// collisions pay the exact predicate inline while the parsed S geometry
+/// is in hand. The inputs' catalog entries supply the join universe and the
+/// extent statistics the auto grid order derives from.
 Status RefinePairStream(const SortedPairStream& next, const JoinInput& r,
                         const JoinInput& s, SpatialPredicate pred,
                         const JoinOptions& opts, const ResultSink& sink,

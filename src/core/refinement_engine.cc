@@ -6,6 +6,7 @@
 
 #include "common/logging.h"
 #include "core/join_options.h"
+#include "geom/hilbert.h"
 #include "geom/mer.h"
 #include "geom/predicates.h"
 #include "geom/segment.h"
@@ -32,9 +33,8 @@ Result<RefineMode> ParseRefineMode(const std::string& name) {
 // ---------------------------------------------------------------------------
 // CellGrid
 
-CellGrid::CellGrid(const Rect& universe, uint32_t order,
-                   SpaceFillingCurve::Kind curve)
-    : universe_(universe), order_(order), curve_(curve) {
+CellGrid::CellGrid(const Rect& universe, uint32_t order)
+    : universe_(universe), order_(order) {
   PBSM_CHECK(order_ >= 1 && order_ <= 31) << "grid order " << order_;
   const double n = static_cast<double>(uint64_t{1} << order_);
   if (universe_.width() > 0) {
@@ -73,9 +73,7 @@ Rect CellGrid::CellRect(uint32_t ix, uint32_t iy, uint32_t precision) const {
 
 uint64_t CellGrid::CellKey(uint32_t ix, uint32_t iy,
                            uint32_t precision) const {
-  return curve_ == SpaceFillingCurve::Kind::kHilbert
-             ? HilbertD2XY(precision, ix, iy)
-             : ZOrderKey(precision, ix, iy);
+  return HilbertD2XY(precision, ix, iy);
 }
 
 // ---------------------------------------------------------------------------
@@ -131,8 +129,7 @@ void RasterizeGeometry(const GeometryView& geometry, const CellGrid& grid,
   // Finest-order index range of the epsilon-expanded MBR, then the coarsest
   // shift d at which the object's span fits the cell budget. The per-object
   // precision is p = order - d (>= 1); a precision-p cell is a contiguous
-  // run of 4^d finest-order keys on both curves (hierarchical prefix
-  // property).
+  // run of 4^d finest-order Hilbert keys (hierarchical prefix property).
   const uint32_t ix_lo = grid.CellX(mbr.xlo - ex);
   const uint32_t ix_hi = grid.CellX(mbr.xhi + ex);
   const uint32_t iy_lo = grid.CellY(mbr.ylo - ey);
@@ -427,6 +424,11 @@ uint32_t ChooseGridOrder(const Rect& universe, double avg_extent_x,
 
 namespace {
 
+/// Rasterization budget per object: objects whose MBR spans more cells are
+/// rasterized at a coarser per-object precision (hierarchical grid,
+/// 1802.09488 §3.1), so cover size — and cover build cost — stays O(1).
+constexpr uint32_t kMaxCellsPerObject = 256;
+
 /// Two-pointer scan over two sorted disjoint run lists. Sets *interior_hit
 /// when some overlapping pair of runs is interior on both sides; returns
 /// whether any runs overlap at all.
@@ -507,7 +509,7 @@ inline bool SegmentsIntersectFast(const Segment& s1, const Segment& s2) {
 }
 
 /// True when any bit in the inclusive range [lo, hi] is set. Covers hold at
-/// most max_cells_per_object bits, so the word loop is 1-4 iterations.
+/// most kMaxCellsPerObject bits, so the word loop is 1-4 iterations.
 inline bool AnyBitInRange(const uint64_t* bits, uint32_t lo, uint32_t hi) {
   const uint32_t w0 = lo >> 6, w1 = hi >> 6;
   const uint64_t m0 = ~uint64_t{0} << (lo & 63);
@@ -522,14 +524,12 @@ inline bool AnyBitInRange(const uint64_t* bits, uint32_t lo, uint32_t hi) {
 
 class AdaptiveRefinementEngine final : public RefinementEngine {
  public:
-  AdaptiveRefinementEngine(SpatialPredicate pred, const CellGrid& grid,
-                           uint32_t max_cells)
+  AdaptiveRefinementEngine(SpatialPredicate pred, const CellGrid& grid)
       : pred_(pred),
         // Only containment classification reads curve-keyed runs; every
         // other predicate works on the rect decomposition alone.
         build_runs_(pred == SpatialPredicate::kContains),
         grid_(grid),
-        max_cells_(max_cells),
         ex_(AxisEpsilon(grid.universe().xlo, grid.universe().xhi,
                         grid.cell_width())),
         ey_(AxisEpsilon(grid.universe().ylo, grid.universe().yhi,
@@ -539,7 +539,7 @@ class AdaptiveRefinementEngine final : public RefinementEngine {
     // S-side covers: runs only for containment; rects never (intersection
     // probes S through the bitmap); segment buckets for the intersects
     // predicate's boundary-collision witness tests.
-    RasterizeGeometry(geometry, grid_, max_cells_, cover, build_runs_,
+    RasterizeGeometry(geometry, grid_, kMaxCellsPerObject, cover, build_runs_,
                       /*build_rects=*/false,
                       /*build_buckets=*/pred_ == SpatialPredicate::kIntersects);
   }
@@ -569,7 +569,7 @@ class AdaptiveRefinementEngine final : public RefinementEngine {
     // R-side covers (lazily built for polygons only): rects for the
     // polygon-vs-cover walk, runs for containment, never buckets.
     if (!cover->built) {
-      RasterizeGeometry(geometry, grid_, max_cells_, cover, build_runs_,
+      RasterizeGeometry(geometry, grid_, kMaxCellsPerObject, cover, build_runs_,
                         /*build_rects=*/true, /*build_buckets=*/false);
     }
   }
@@ -851,7 +851,6 @@ class AdaptiveRefinementEngine final : public RefinementEngine {
   const SpatialPredicate pred_;
   const bool build_runs_;
   const CellGrid grid_;
-  const uint32_t max_cells_;
   // Rasterizer epsilons of grid_, hoisted out of the per-pair classify path.
   const double ex_;
   const double ey_;
@@ -867,9 +866,8 @@ std::unique_ptr<RefinementEngine> RefinementEngine::Create(
       opts.grid_order != 0
           ? std::clamp<uint32_t>(opts.grid_order, 1, 24)
           : ChooseGridOrder(universe, avg_extent_x, avg_extent_y);
-  const CellGrid grid(universe, order, opts.curve);
-  return std::make_unique<AdaptiveRefinementEngine>(pred, grid,
-                                                    opts.max_cells_per_object);
+  return std::make_unique<AdaptiveRefinementEngine>(pred,
+                                                    CellGrid(universe, order));
 }
 
 }  // namespace pbsm

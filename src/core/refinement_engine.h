@@ -8,7 +8,6 @@
 
 #include "common/status.h"
 #include "geom/geometry.h"
-#include "geom/hilbert.h"
 #include "geom/rect.h"
 #include "geom/segment.h"
 
@@ -42,27 +41,13 @@ struct RefineOptions {
   /// (ChooseGridOrder from catalog extent stats — or the planner's choice
   /// when the join runs through the service).
   uint32_t grid_order = 0;
-  /// Rasterization budget per object: objects whose MBR spans more cells
-  /// are rasterized at a coarser per-object precision (hierarchical grid,
-  /// 1802.09488 §3.1), so cover size — and cover build cost — stays O(1).
-  uint32_t max_cells_per_object = 256;
-  /// Curve ordering the cell keys. Hilbert clusters better (fewer runs per
-  /// cover); Z-order is cheaper to compute.
-  SpaceFillingCurve::Kind curve = SpaceFillingCurve::Kind::kHilbert;
-  /// Cost guard on cover construction: an S tuple whose run of candidate
-  /// pairs (they arrive sorted on OID_S) is shorter than this pays the
-  /// exact predicate directly instead of rasterizing. Building a cover is
-  /// O(boundary length), so it only beats per-pair exact tests when enough
-  /// pairs amortize it (the build-vs-probe tradeoff of adaptive geospatial
-  /// joins). 1 = always build.
-  uint32_t min_cover_pairs = 3;
 };
 
 /// A maximal run of consecutive finest-order cell keys sharing one flag.
 /// Half-open [lo, hi); runs in a cover are sorted, disjoint, and merged.
-/// Coarser per-object cells become runs of 4^(order-precision) keys — both
-/// curves are hierarchical, so a coarse cell is one contiguous key interval
-/// at the finest order.
+/// Coarser per-object cells become runs of 4^(order-precision) keys — the
+/// Hilbert curve is hierarchical, so a coarse cell is one contiguous key
+/// interval at the finest order.
 struct CellRun {
   uint64_t lo = 0;
   uint64_t hi = 0;
@@ -140,15 +125,13 @@ enum class CellDecision : uint8_t {
 };
 
 /// The cell grid shared by every cover a query builds: the join universe
-/// divided into 2^order x 2^order curve-keyed cells.
+/// divided into 2^order x 2^order Hilbert-keyed cells.
 class CellGrid {
  public:
-  CellGrid(const Rect& universe, uint32_t order,
-           SpaceFillingCurve::Kind curve);
+  CellGrid(const Rect& universe, uint32_t order);
 
   const Rect& universe() const { return universe_; }
   uint32_t order() const { return order_; }
-  SpaceFillingCurve::Kind curve() const { return curve_; }
   double cell_width() const { return cell_w_; }
   double cell_height() const { return cell_h_; }
   /// One past the largest finest-order key: 4^order.
@@ -160,13 +143,12 @@ class CellGrid {
   /// Geometric rectangle of cell (ix, iy) at per-object precision
   /// `precision` (cells are 2^(order-precision) finest cells wide).
   Rect CellRect(uint32_t ix, uint32_t iy, uint32_t precision) const;
-  /// Curve key of cell (ix, iy) at `precision` bits per dimension.
+  /// Hilbert key of cell (ix, iy) at `precision` bits per dimension.
   uint64_t CellKey(uint32_t ix, uint32_t iy, uint32_t precision) const;
 
  private:
   Rect universe_;
   uint32_t order_;
-  SpaceFillingCurve::Kind curve_;
   double cell_w_ = 0.0;
   double cell_h_ = 0.0;
   double inv_cell_w_ = 0.0;

@@ -168,8 +168,7 @@ Status JoinNodes(const RStarTree& r_tree, uint32_t r_page,
     Status append_status;
     breakdown->candidates += PlaneSweepJoinBatch(
         &r_kps, &s_kps,
-        SorterBatchSink<CandidateSorter>{sorter, &append_status}, opts.sweep,
-        opts.simd);
+        SorterBatchSink<CandidateSorter>{sorter, &append_status}, opts.simd);
     return append_status;
   }
 
@@ -182,7 +181,7 @@ Status JoinNodes(const RStarTree& r_tree, uint32_t r_page,
                                    static_cast<uint32_t>(pairs[i].s));
         }
       },
-      opts.sweep, opts.simd);
+      opts.simd);
   for (const auto& [rc, sc] : child_pairs) {
     PBSM_RETURN_IF_ERROR(
         JoinNodes(r_tree, rc, s_tree, sc, opts, sorter, breakdown));

@@ -186,7 +186,7 @@ Status SpatialHashFilter(BufferPool* pool, const JoinInput& r,
             }
             if (s_chunk.empty()) break;
             PlaneSweepJoinBatch(&r_chunk, &s_chunk, batch_sink,
-                                options.join.sweep, options.join.simd);
+                                options.join.simd);
           }
         }
         PBSM_RETURN_IF_ERROR(append_status);

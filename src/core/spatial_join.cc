@@ -3,7 +3,6 @@
 #include <string>
 
 #include "common/logging.h"
-#include "common/metrics.h"
 
 namespace pbsm {
 
@@ -38,17 +37,6 @@ std::optional<JoinMethod> ParseJoinMethod(std::string_view name) {
   }
   if (name == "zorder" || name == "z-order") return JoinMethod::kZOrder;
   return std::nullopt;
-}
-
-void CountJoinFailure(JoinMethod method, const Status& status) {
-  if (status.ok()) return;
-  // Cancellations are not failures: they are the service tearing down
-  // work on purpose, and alerting on them as errors would be noise.
-  const bool cancelled = status.code() == StatusCode::kCancelled;
-  MetricsRegistry::Global()
-      .GetCounter((cancelled ? "join.cancelled." : "join.failures.") +
-                  std::string(JoinMethodName(method)))
-      ->Add();
 }
 
 // The SpatialJoin facade itself lives in src/exec/spatial_join.cc: it

@@ -43,12 +43,6 @@ struct WindowFilter {
   const std::unordered_map<uint64_t, Rect>* s_mbrs = nullptr;
 };
 
-/// Bumps "join.cancelled.<method>" for kCancelled statuses and
-/// "join.failures.<method>" for every other non-OK status; no-op on OK.
-/// The facade and the non-facade entry point SimulateParallelPbsm both
-/// route their failure accounting through here.
-void CountJoinFailure(JoinMethod method, const Status& status);
-
 /// The complete specification of one spatial join: the algorithm, the exact
 /// predicate, the shared knobs, and per-algorithm option groups. Fields an
 /// algorithm does not use are ignored. The groups are plain nested structs

@@ -246,8 +246,6 @@ void SweepScratch::UpdateReservedGauge() {
   const size_t now = r_soa.reserved_bytes() + s_soa.reserved_bytes() +
                      t_soa.reserved_bytes() +
                      tkp.capacity() * sizeof(KeyPointer) +
-                     events.capacity() * sizeof(SweepEvent) +
-                     handles.capacity() * sizeof(uint64_t) +
                      idx.capacity() * sizeof(uint32_t) +
                      pairs.capacity() * sizeof(OidPair);
   if (now != reported_bytes_) {

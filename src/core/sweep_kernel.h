@@ -26,7 +26,7 @@
 //
 // Scratch buffers (`SweepScratch`) are reused across calls via a
 // thread-local instance, so the parallel executor's per-partition sweep
-// tasks stop re-allocating event/coordinate vectors. The
+// tasks stop re-allocating coordinate and pair vectors. The
 // `sweep.alloc.reserved_bytes` gauge tracks the bytes so reserved.
 //
 // Metrics: `sweep.kernel.batches`, `sweep.kernel.simd_lanes_used`,
@@ -41,7 +41,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "core/interval_tree.h"
 #include "core/key_pointer.h"
 #include "core/plane_sweep_join.h"
 #include "geom/rect.h"
@@ -240,21 +239,13 @@ void FlushKernelMetrics(const KernelMetrics& m);
 // Scratch reuse.
 // ---------------------------------------------------------------------------
 
-/// Event of the interval-tree sweep: `item` indexes the combined input
-/// (R items first, then S items offset by |R|).
-struct SweepEvent {
-  double x;
-  uint32_t item;
-  bool is_start;
-};
-
 /// Number of OidPairs buffered between batch-sink flushes.
 inline constexpr size_t kPairBufferCap = 4096;
 
 /// Reusable per-thread working memory for the filter kernels: SoA columns,
-/// interval-sweep event/handle vectors, window-scan index buffer, and the
-/// pair buffer. Obtain via ThreadLocal() (one per thread, reused across
-/// partitions/tasks) or stack-allocate for isolation in tests.
+/// the window-scan index buffer, and the pair buffer. Obtain via
+/// ThreadLocal() (one per thread, reused across partitions/tasks) or
+/// stack-allocate for isolation in tests.
 struct SweepScratch {
   SoaRects r_soa;
   SoaRects s_soa;
@@ -262,8 +253,6 @@ struct SweepScratch {
   /// C×A mini-joins, plus the staging vector it is assembled in.
   SoaRects t_soa;
   std::vector<KeyPointer> tkp;
-  std::vector<SweepEvent> events;
-  std::vector<uint64_t> handles;
   std::vector<uint32_t> idx;
   std::vector<OidPair> pairs;  // Resized once to kPairBufferCap.
 
@@ -289,16 +278,21 @@ struct SweepScratch {
 // exactly once per sweep.
 // ---------------------------------------------------------------------------
 
-/// §3.1 forward sweep over SoA columns. Sorts both inputs on mbr.xlo
-/// unless `order` says they already are (the repartition fast path), then
-/// runs the two-cursor sweep with the resolved batch kernel. Returns the
+/// The in-memory rectangle join of one partition pair: the §3.1 forward
+/// sweep over SoA columns, the entry every join method's filter uses. Sorts
+/// both inputs on mbr.xlo in place unless `order` says they already are
+/// (the repartition fast path), then runs the two-cursor sweep with the
+/// kernel `simd` resolves to, handing candidate pairs to `sink` in blocks.
+/// `scratch` defaults to the calling thread's SweepScratch. Returns the
 /// number of pairs emitted.
 template <typename Sink>
-uint64_t ForwardSweepBatch(std::vector<KeyPointer>* r,
-                           std::vector<KeyPointer>* s, KernelKind kind,
-                           InputOrder order, Sink&& sink,
-                           SweepScratch& scratch) {
+uint64_t PlaneSweepJoinBatch(std::vector<KeyPointer>* r,
+                             std::vector<KeyPointer>* s, Sink&& sink,
+                             SimdMode simd = SimdMode::kAuto,
+                             InputOrder order = InputOrder::kUnsorted,
+                             SweepScratch* scratch = nullptr) {
   if (r->empty() || s->empty()) return 0;
+  SweepScratch& sc = scratch != nullptr ? *scratch : SweepScratch::ThreadLocal();
   if (order != InputOrder::kSortedByXlo) {
     auto by_xlo = [](const KeyPointer& a, const KeyPointer& b) {
       return a.mbr.xlo < b.mbr.xlo;
@@ -306,18 +300,19 @@ uint64_t ForwardSweepBatch(std::vector<KeyPointer>* r,
     std::sort(r->begin(), r->end(), by_xlo);
     std::sort(s->begin(), s->end(), by_xlo);
   }
-  scratch.r_soa.Assign(r->data(), r->size());
-  scratch.s_soa.Assign(s->data(), s->size());
-  const SoaView rv = scratch.r_soa.view();
-  const SoaView sv = scratch.s_soa.view();
-  if (scratch.pairs.size() < kPairBufferCap) {
-    scratch.pairs.resize(kPairBufferCap);
+  sc.r_soa.Assign(r->data(), r->size());
+  sc.s_soa.Assign(s->data(), s->size());
+  const SoaView rv = sc.r_soa.view();
+  const SoaView sv = sc.s_soa.view();
+  if (sc.pairs.size() < kPairBufferCap) {
+    sc.pairs.resize(kPairBufferCap);
   }
-  OidPair* const buf = scratch.pairs.data();
+  OidPair* const buf = sc.pairs.data();
   size_t buf_size = 0;
   uint64_t total = 0;
   sweep_internal::KernelMetrics m;
-  const sweep_internal::SweepKernelOps& ops = sweep_internal::KernelOps(kind);
+  const sweep_internal::SweepKernelOps& ops =
+      sweep_internal::KernelOps(ResolveKernel(simd));
 
   auto flush = [&] {
     if (buf_size == 0) return;
@@ -361,145 +356,8 @@ uint64_t ForwardSweepBatch(std::vector<KeyPointer>* r,
   }
   flush();
   sweep_internal::FlushKernelMetrics(m);
-  scratch.UpdateReservedGauge();
+  sc.UpdateReservedGauge();
   return total;
-}
-
-/// The footnote's event-driven interval-tree sweep, batch-sink edition.
-/// Event and handle vectors live in the scratch (reserved from the input
-/// cardinalities, reused across partitions).
-template <typename Sink>
-uint64_t IntervalTreeSweepBatch(std::vector<KeyPointer>* r,
-                                std::vector<KeyPointer>* s, Sink&& sink,
-                                SweepScratch& scratch) {
-  if (r->empty() || s->empty()) return 0;
-  const size_t nr = r->size();
-  const size_t ns = s->size();
-  std::vector<SweepEvent>& events = scratch.events;
-  events.clear();
-  events.reserve(2 * (nr + ns));
-  for (size_t i = 0; i < nr; ++i) {
-    events.push_back({(*r)[i].mbr.xlo, static_cast<uint32_t>(i), true});
-    events.push_back({(*r)[i].mbr.xhi, static_cast<uint32_t>(i), false});
-  }
-  for (size_t j = 0; j < ns; ++j) {
-    const uint32_t item = static_cast<uint32_t>(nr + j);
-    events.push_back({(*s)[j].mbr.xlo, item, true});
-    events.push_back({(*s)[j].mbr.xhi, item, false});
-  }
-  // Starts before ends at equal x so touching rectangles count as
-  // overlapping (closed semantics).
-  std::sort(events.begin(), events.end(),
-            [](const SweepEvent& a, const SweepEvent& b) {
-              if (a.x != b.x) return a.x < b.x;
-              return a.is_start > b.is_start;
-            });
-
-  scratch.handles.assign(nr + ns, 0);
-  if (scratch.pairs.size() < kPairBufferCap) {
-    scratch.pairs.resize(kPairBufferCap);
-  }
-  OidPair* const buf = scratch.pairs.data();
-  size_t buf_size = 0;
-  uint64_t total = 0;
-  sweep_internal::KernelMetrics m;
-  auto flush = [&] {
-    if (buf_size == 0) return;
-    sink(static_cast<const OidPair*>(buf), buf_size);
-    ++m.flushes;
-    buf_size = 0;
-  };
-
-  IntervalTree active_r, active_s;
-  for (const SweepEvent& ev : events) {
-    const bool is_r = ev.item < nr;
-    const KeyPointer& kp = is_r ? (*r)[ev.item] : (*s)[ev.item - nr];
-    IntervalTree& own = is_r ? active_r : active_s;
-    if (!ev.is_start) {
-      own.Remove(scratch.handles[ev.item]);
-      continue;
-    }
-    const IntervalTree& other = is_r ? active_s : active_r;
-    other.QueryOverlaps(kp.mbr.ylo, kp.mbr.yhi, [&](uint64_t other_oid) {
-      if (buf_size == kPairBufferCap) flush();
-      buf[buf_size++] =
-          is_r ? OidPair{kp.oid, other_oid} : OidPair{other_oid, kp.oid};
-      ++total;
-    });
-    scratch.handles[ev.item] = own.Insert(kp.mbr.ylo, kp.mbr.yhi, kp.oid);
-  }
-  flush();
-  sweep_internal::FlushKernelMetrics(m);
-  scratch.UpdateReservedGauge();
-  return total;
-}
-
-/// All-pairs MBR join through the window-scan kernel; for tests and tiny
-/// inputs.
-template <typename Sink>
-uint64_t NestedLoopsBatch(const std::vector<KeyPointer>& r,
-                          const std::vector<KeyPointer>& s, KernelKind kind,
-                          Sink&& sink, SweepScratch& scratch) {
-  if (r.empty() || s.empty()) return 0;
-  scratch.s_soa.Assign(s.data(), s.size());
-  const SoaView sv = scratch.s_soa.view();
-  scratch.idx.resize(s.size());
-  if (scratch.pairs.size() < kPairBufferCap) {
-    scratch.pairs.resize(kPairBufferCap);
-  }
-  OidPair* const buf = scratch.pairs.data();
-  size_t buf_size = 0;
-  uint64_t total = 0;
-  sweep_internal::KernelMetrics m;
-  const sweep_internal::SweepKernelOps& ops = sweep_internal::KernelOps(kind);
-  auto flush = [&] {
-    if (buf_size == 0) return;
-    sink(static_cast<const OidPair*>(buf), buf_size);
-    ++m.flushes;
-    buf_size = 0;
-  };
-  for (const KeyPointer& a : r) {
-    if (a.mbr.empty()) continue;
-    const size_t hits =
-        ops.scan_window(sv, a.mbr.xlo, a.mbr.ylo, a.mbr.xhi, a.mbr.yhi,
-                        scratch.idx.data(), &m.simd_lanes);
-    ++m.batches;
-    for (size_t h = 0; h < hits; ++h) {
-      if (buf_size == kPairBufferCap) flush();
-      buf[buf_size++] = OidPair{a.oid, sv.oid[scratch.idx[h]]};
-      ++total;
-    }
-  }
-  flush();
-  sweep_internal::FlushKernelMetrics(m);
-  scratch.UpdateReservedGauge();
-  return total;
-}
-
-/// Batch-sink counterpart of PlaneSweepJoin: merges one partition pair with
-/// the selected algorithm and resolved kernel, handing candidate pairs to
-/// `sink` in blocks. This is the hot-path entry every join method uses;
-/// PlaneSweepJoin remains as a thin per-pair-emitter wrapper over it.
-template <typename Sink>
-uint64_t PlaneSweepJoinBatch(std::vector<KeyPointer>* r,
-                             std::vector<KeyPointer>* s, Sink&& sink,
-                             SweepAlgorithm algorithm =
-                                 SweepAlgorithm::kForwardSweep,
-                             SimdMode simd = SimdMode::kAuto,
-                             InputOrder order = InputOrder::kUnsorted,
-                             SweepScratch* scratch = nullptr) {
-  SweepScratch& sc = scratch != nullptr ? *scratch : SweepScratch::ThreadLocal();
-  switch (algorithm) {
-    case SweepAlgorithm::kForwardSweep:
-      return ForwardSweepBatch(r, s, ResolveKernel(simd), order,
-                               std::forward<Sink>(sink), sc);
-    case SweepAlgorithm::kIntervalTreeSweep:
-      return IntervalTreeSweepBatch(r, s, std::forward<Sink>(sink), sc);
-    case SweepAlgorithm::kNestedLoops:
-      return NestedLoopsBatch(*r, *s, ResolveKernel(simd),
-                              std::forward<Sink>(sink), sc);
-  }
-  return 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -551,14 +409,6 @@ struct SorterBatchSink {
   void operator()(const OidPair* pairs, size_t n) const {
     if (!status->ok()) return;
     *status = sorter->AddBatch(pairs, n);
-  }
-};
-
-/// Adapts a legacy per-pair emitter to the batch-sink contract.
-struct EmitterBatchSink {
-  const PairEmitter& emit;
-  void operator()(const OidPair* pairs, size_t n) const {
-    for (size_t i = 0; i < n; ++i) emit(pairs[i].r, pairs[i].s);
   }
 };
 

@@ -309,7 +309,7 @@ Status SpatialJoinOp::BuildMatches() {
     bd()->candidates += PlaneSweepJoinBatch(
         &l_kps, &r_kps,
         SorterBatchSink<CandidateSorter>{&sorter, &append_status},
-        opts_.sweep, opts_.simd);
+        opts_.simd);
     PBSM_RETURN_IF_ERROR(append_status);
   }
 

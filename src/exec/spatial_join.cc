@@ -4,6 +4,7 @@
 #include <string>
 #include <utility>
 
+#include "common/metrics.h"
 #include "common/stopwatch.h"
 #include "common/trace.h"
 #include "core/spatial_join.h"
@@ -12,6 +13,18 @@
 namespace pbsm {
 
 namespace {
+
+/// Bumps "join.cancelled.<method>" for kCancelled statuses and
+/// "join.failures.<method>" for every other non-OK status.
+void CountJoinFailure(JoinMethod method, const Status& status) {
+  // Cancellations are not failures: they are the service tearing down
+  // work on purpose, and alerting on them as errors would be noise.
+  const bool cancelled = status.code() == StatusCode::kCancelled;
+  MetricsRegistry::Global()
+      .GetCounter((cancelled ? "join.cancelled." : "join.failures.") +
+                  std::string(JoinMethodName(method)))
+      ->Add();
+}
 
 /// Builds the pairwise operator tree and drives it, forwarding
 /// (row[0], row[1]) to the user sink.
@@ -62,8 +75,6 @@ Result<JoinResult> SpatialJoin(BufferPool* pool, const JoinInput& r,
     }
     Result<JoinCostBreakdown> dispatched = RunOperatorTree(pool, r, s, spec);
     if (!dispatched.ok()) {
-      // Cancellations are not failures: they are the service tearing down
-      // work on purpose, and alerting on them as errors would be noise.
       CountJoinFailure(spec.method, dispatched.status());
       return dispatched.status();
     }

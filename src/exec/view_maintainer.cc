@@ -204,11 +204,12 @@ uint64_t MaterializedJoinView::num_s() const {
   return s_mbrs_.size();
 }
 
-void MaterializedJoinView::Emit(const ResultSink& sink) const {
+uint64_t MaterializedJoinView::Emit(const ResultSink& sink) const {
   const std::lock_guard<std::mutex> lock(mu_);
   for (const auto& [r_oid, s_oid] : pairs_) {
     sink(Oid::Decode(r_oid), Oid::Decode(s_oid));
   }
+  return pairs_.size();
 }
 
 std::vector<OidPair> MaterializedJoinView::Pairs() const {

@@ -74,8 +74,11 @@ class MaterializedJoinView {
   uint64_t num_r() const;
   uint64_t num_s() const;
 
-  /// Streams the current pairs in ascending (OID_R, OID_S) order.
-  void Emit(const ResultSink& sink) const;
+  /// Streams the current pairs in ascending (OID_R, OID_S) order and
+  /// returns how many it streamed. Both happen under one lock, so a
+  /// concurrent Insert or Delete cannot make the count disagree with the
+  /// pairs streamed.
+  uint64_t Emit(const ResultSink& sink) const;
   /// Snapshot of the current pairs, ascending.
   std::vector<OidPair> Pairs() const;
 

@@ -594,9 +594,10 @@ Result<uint64_t> JoinService::QueryView(const std::string& view_name,
                                         const ResultSink& sink) const {
   PBSM_ASSIGN_OR_RETURN(const ViewEntry entry, FindView(view_name));
   TraceSpan span("service/query_view");
-  if (sink) entry.view->Emit(sink);
+  const uint64_t num_pairs =
+      sink ? entry.view->Emit(sink) : entry.view->num_pairs();
   MetricsRegistry::Global().GetCounter("service.view_queries")->Add();
-  return entry.view->num_pairs();
+  return num_pairs;
 }
 
 Status JoinService::ViewInsert(const std::string& view_name,

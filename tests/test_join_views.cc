@@ -7,10 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -256,6 +258,73 @@ TEST(JoinViewTest, ServiceViewEndpoints) {
   PBSM_ASSERT_OK(service.DropView("v"));
   EXPECT_EQ(service.DropView("v").code(), StatusCode::kNotFound);
   PBSM_ASSERT_OK(service.DropDataset("R"));
+  service.Shutdown();
+}
+
+// QueryView must report the count of the pair set it streamed, even while
+// another client inserts into and deletes from the view.
+TEST(JoinViewTest, QueryViewCountMatchesStreamUnderMutation) {
+  TigerGenerator::Params params;
+  params.seed = 20260817;
+  params.universe = Rect(params.universe.xlo, params.universe.ylo,
+                         params.universe.xlo + params.universe.width() / 8,
+                         params.universe.ylo + params.universe.height() / 8);
+  TigerGenerator gen(params);
+  StorageEnv env(512 * kPageSize);
+  PBSM_ASSERT_OK_AND_ASSIGN(
+      StoredRelation r,
+      LoadRelation(env.pool(), nullptr, "roads", gen.GenerateRoads(80)));
+  PBSM_ASSERT_OK_AND_ASSIGN(
+      StoredRelation s,
+      LoadRelation(env.pool(), nullptr, "hydro", gen.GenerateHydrography(60)));
+
+  JoinServiceConfig config;
+  config.num_workers = 1;
+  JoinService service(env.pool(), config);
+  PBSM_ASSERT_OK(service.RegisterDataset("R", &r.heap, r.info));
+  PBSM_ASSERT_OK(service.RegisterDataset("S", &s.heap, s.info));
+  PBSM_ASSERT_OK(service.CreateView("v", "R", "S"));
+  PBSM_ASSERT_OK_AND_ASSIGN(const uint64_t base, service.QueryView("v", {}));
+
+  // An R tuple that adds pairs, so every insert and delete changes the
+  // count a concurrent query could read.
+  std::vector<std::pair<Oid, Tuple>> adders;
+  for (const Tuple& t : gen.GenerateRoads(200)) {
+    PBSM_ASSERT_OK_AND_ASSIGN(const Oid oid, r.heap.Append(t.Serialize()));
+    PBSM_ASSERT_OK(service.ViewInsert("v", Side::kR, oid, t));
+    PBSM_ASSERT_OK_AND_ASSIGN(const uint64_t n, service.QueryView("v", {}));
+    PBSM_ASSERT_OK(service.ViewDelete("v", Side::kR, oid));
+    if (n > base) adders.emplace_back(oid, t);
+    if (adders.size() == 4) break;
+  }
+  ASSERT_FALSE(adders.empty()) << "no generated road joins the view";
+
+  std::atomic<bool> stop{false};
+  std::thread mutator([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      for (const auto& [oid, tuple] : adders) {
+        EXPECT_TRUE(service.ViewInsert("v", Side::kR, oid, tuple).ok());
+        EXPECT_TRUE(service.ViewDelete("v", Side::kR, oid).ok());
+      }
+    }
+  });
+  for (int i = 0; i < 2000; ++i) {
+    uint64_t streamed = 0;
+    const Result<uint64_t> count =
+        service.QueryView("v", [&streamed](Oid, Oid) { ++streamed; });
+    if (!count.ok()) {
+      ADD_FAILURE() << count.status().ToString();
+      break;
+    }
+    if (*count != streamed) {
+      ADD_FAILURE() << "query " << i << " reported " << *count
+                    << " pairs but streamed " << streamed;
+      break;
+    }
+  }
+  stop.store(true);
+  mutator.join();
+  PBSM_ASSERT_OK(service.DropView("v"));
   service.Shutdown();
 }
 

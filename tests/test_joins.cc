@@ -152,12 +152,12 @@ TEST_F(JoinEquivalenceTest, PbsmInvariantUnderKnobs) {
   (void)ref_cost;
   ASSERT_GT(reference.size(), 0u);
 
-  // Sweep algorithm, mapping scheme, tile count, partition count, tiny
-  // memory budgets (forcing §3.5 overflow handling), and the adaptive
-  // refinement engine must not change the result set. The §3.5 paths exist
-  // only in the paper's merge-dedup filter (two-layer partitions are
-  // processed whole), so the tiny-budget variants pin kMerge and state
-  // whether repartitioning must fire.
+  // Mapping scheme, tile count, partition count, tiny memory budgets
+  // (forcing §3.5 overflow handling), and the adaptive refinement engine
+  // must not change the result set. The §3.5 paths exist only in the
+  // paper's merge-dedup filter (two-layer partitions are processed whole),
+  // so the tiny-budget variants pin kMerge and state whether repartitioning
+  // must fire.
   struct Variant {
     const char* label;
     JoinOptions opts;
@@ -166,11 +166,6 @@ TEST_F(JoinEquivalenceTest, PbsmInvariantUnderKnobs) {
     std::optional<bool> repartitions = std::nullopt;
   };
   std::vector<Variant> variants;
-  {
-    JoinOptions o = base;
-    o.sweep = SweepAlgorithm::kIntervalTreeSweep;
-    variants.push_back({"interval tree sweep", o});
-  }
   {
     JoinOptions o = base;
     o.mapping = TileMapping::kRoundRobin;

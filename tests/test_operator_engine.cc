@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "common/trace.h"
-#include "core/parallel_pbsm.h"
 #include "datagen/tiger_gen.h"
 #include "exec/basic_ops.h"
 #include "exec/plan_builder.h"
@@ -356,35 +355,6 @@ TEST(OperatorEngineTest, PlannerTreeAndServiceExplain) {
   request.r_dataset = "missing";
   EXPECT_EQ(service.Explain(request).status().code(), StatusCode::kNotFound);
   service.Shutdown();
-}
-
-// Regression (issue satellite): the legacy SimulateParallelPbsm entry
-// point bypassed the facade and with it the join.failures.<method>
-// accounting. It must now route every non-OK return through
-// CountJoinFailure like a facade-dispatched join.
-TEST(OperatorEngineTest, LegacyParallelEntryCountsFailures) {
-  const Corpus c = MakeCorpus(/*seed=*/20260813, 40, 30, 0);
-  StorageEnv env(256 * kPageSize);
-  PBSM_ASSERT_OK_AND_ASSIGN(
-      const StoredRelation r,
-      LoadRelation(env.pool(), nullptr, "roads", c.roads));
-  PBSM_ASSERT_OK_AND_ASSIGN(
-      const StoredRelation s,
-      LoadRelation(env.pool(), nullptr, "hydro", c.hydro));
-
-  const MetricsSnapshot before = MetricsRegistry::Global().Snapshot();
-  ParallelPbsmOptions options;
-  options.num_workers = 0;  // Invalid: rejected before any work happens.
-  const auto report = SimulateParallelPbsm(env.pool(), r.AsInput(),
-                                           s.AsInput(),
-                                           SpatialPredicate::kIntersects,
-                                           options);
-  ASSERT_FALSE(report.ok());
-  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
-  const MetricsSnapshot delta =
-      MetricsRegistry::Global().Snapshot().Delta(before);
-  EXPECT_EQ(delta.counter("join.failures.parallel_pbsm"), 1u);
-  EXPECT_EQ(delta.counter("join.cancelled.parallel_pbsm"), 0u);
 }
 
 }  // namespace

@@ -113,10 +113,9 @@ class ParallelPbsmExecTest : public ::testing::Test {
     return pairs;
   }
 
-  PairSet SerialReference(SweepAlgorithm sweep, size_t budget) {
+  PairSet SerialReference(size_t budget) {
     JoinSpec spec;
     spec.options.memory_budget_bytes = budget;
-    spec.options.sweep = sweep;
     PairSet expected;
     spec.sink = [&](Oid r, Oid s) {
       expected.emplace(r.Encode(), s.Encode());
@@ -132,21 +131,21 @@ class ParallelPbsmExecTest : public ::testing::Test {
   std::unique_ptr<StoredRelation> roads_, hydro_;
 };
 
+// The sweep axis is the filter kernel the per-partition sweeps run on.
 TEST_F(ParallelPbsmExecTest, MatchesSerialAcrossThreadCountsAndSweeps) {
-  for (const SweepAlgorithm sweep :
-       {SweepAlgorithm::kForwardSweep, SweepAlgorithm::kIntervalTreeSweep}) {
-    const PairSet expected = SerialReference(sweep, 1 << 20);
+  const PairSet expected = SerialReference(1 << 20);
+  for (const SimdMode simd : {SimdMode::kScalar, SimdMode::kAuto}) {
     for (const uint32_t threads : {1u, 2u, 8u}) {
       JoinOptions opts;
       opts.memory_budget_bytes = 1 << 20;
-      opts.sweep = sweep;
+      opts.simd = simd;
       opts.num_threads = threads;
       PairSet got;
       ParallelJoinStats stats;
       auto result = RunParallel(opts, &got, &stats);
       ASSERT_TRUE(result.ok()) << result.status().ToString();
       EXPECT_EQ(got, expected)
-          << threads << " threads, sweep " << static_cast<int>(sweep);
+          << threads << " threads, simd " << static_cast<int>(simd);
       // The sink saw each de-duplicated pair exactly once.
       EXPECT_EQ(result->num_results, got.size());
       EXPECT_EQ(stats.num_threads, threads);

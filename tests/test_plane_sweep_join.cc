@@ -1,27 +1,28 @@
-#include "core/plane_sweep_join.h"
+// End-to-end checks of PlaneSweepJoinBatch, the in-memory rectangle join
+// of one partition pair, against hand-computed cases and the all-pairs
+// oracle.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <set>
-#include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "core/sweep_kernel.h"
+#include "tests/test_util.h"
 
 namespace pbsm {
 namespace {
 
-using PairSet = std::set<std::pair<uint64_t, uint64_t>>;
+MbrPairSet RunJoin(std::vector<KeyPointer> r, std::vector<KeyPointer> s) {
+  std::vector<OidPair> out;
+  PlaneSweepJoinBatch(&r, &s, VectorBatchSink{&out});
+  MbrPairSet set;
+  for (const OidPair& p : out) set.emplace(p.r, p.s);
+  return set;
+}
 
-PairSet RunJoin(std::vector<KeyPointer> r, std::vector<KeyPointer> s,
-                SweepAlgorithm algo) {
-  PairSet out;
-  PlaneSweepJoin(
-      &r, &s,
-      [&](uint64_t a, uint64_t b) { out.emplace(a, b); },
-      algo);
-  return out;
+uint64_t CountPairs(std::vector<KeyPointer>* r, std::vector<KeyPointer>* s) {
+  return PlaneSweepJoinBatch(r, s, [](const OidPair*, size_t) {});
 }
 
 std::vector<KeyPointer> RandomRects(Rng* rng, size_t n, double extent,
@@ -41,10 +42,10 @@ std::vector<KeyPointer> RandomRects(Rng* rng, size_t n, double extent,
 
 TEST(PlaneSweepJoinTest, EmptyInputs) {
   std::vector<KeyPointer> r, s;
-  EXPECT_EQ(PlaneSweepJoin(&r, &s, [](uint64_t, uint64_t) {}), 0u);
+  EXPECT_EQ(CountPairs(&r, &s), 0u);
   r.push_back(KeyPointer{Rect(0, 0, 1, 1), 1});
   std::vector<KeyPointer> empty;
-  EXPECT_EQ(PlaneSweepJoin(&r, &empty, [](uint64_t, uint64_t) {}), 0u);
+  EXPECT_EQ(CountPairs(&r, &empty), 0u);
 }
 
 TEST(PlaneSweepJoinTest, HandComputedCase) {
@@ -53,19 +54,18 @@ TEST(PlaneSweepJoinTest, HandComputedCase) {
   std::vector<KeyPointer> s = {{Rect(1, 1, 3, 3), 10},
                                {Rect(2, 2, 4, 4), 20},   // Touches r1.
                                {Rect(7, 7, 8, 8), 30}};  // No partner.
-  const PairSet expected = {{1, 10}, {1, 20}};
-  EXPECT_EQ(RunJoin(r, s, SweepAlgorithm::kForwardSweep), expected);
-  EXPECT_EQ(RunJoin(r, s, SweepAlgorithm::kIntervalTreeSweep), expected);
-  EXPECT_EQ(RunJoin(r, s, SweepAlgorithm::kNestedLoops), expected);
+  const MbrPairSet expected = {{1, 10}, {1, 20}};
+  EXPECT_EQ(RunJoin(r, s), expected);
+  EXPECT_EQ(AllPairsMbrJoin(r, s), expected);
 }
 
 TEST(PlaneSweepJoinTest, EmitsPairsInRSOrder) {
-  // The emitter always receives (r_oid, s_oid) regardless of which side
+  // The sink always receives (r_oid, s_oid) regardless of which side
   // drives the sweep step.
   std::vector<KeyPointer> r = {{Rect(1, 0, 3, 1), 7}};
   std::vector<KeyPointer> s = {{Rect(0, 0, 2, 1), 1000}};  // s starts first.
-  const PairSet out = RunJoin(r, s, SweepAlgorithm::kForwardSweep);
-  EXPECT_EQ(out, (PairSet{{7, 1000}}));
+  const MbrPairSet out = RunJoin(r, s);
+  EXPECT_EQ(out, (MbrPairSet{{7, 1000}}));
 }
 
 TEST(PlaneSweepJoinTest, IdenticalRectanglesAllPair) {
@@ -74,10 +74,7 @@ TEST(PlaneSweepJoinTest, IdenticalRectanglesAllPair) {
     r.push_back({Rect(0, 0, 1, 1), i});
     s.push_back({Rect(0, 0, 1, 1), 100 + i});
   }
-  for (const auto algo :
-       {SweepAlgorithm::kForwardSweep, SweepAlgorithm::kIntervalTreeSweep}) {
-    EXPECT_EQ(RunJoin(r, s, algo).size(), 100u);
-  }
+  EXPECT_EQ(RunJoin(r, s).size(), 100u);
 }
 
 TEST(PlaneSweepJoinTest, PointRectanglesTouchCount) {
@@ -85,9 +82,8 @@ TEST(PlaneSweepJoinTest, PointRectanglesTouchCount) {
   std::vector<KeyPointer> r = {{Rect(1, 1, 1, 1), 1}};
   std::vector<KeyPointer> s = {{Rect(1, 1, 2, 2), 2},
                                {Rect(1.5, 1.5, 1.5, 1.5), 3}};
-  const PairSet expected = {{1, 2}};
-  EXPECT_EQ(RunJoin(r, s, SweepAlgorithm::kForwardSweep), expected);
-  EXPECT_EQ(RunJoin(r, s, SweepAlgorithm::kIntervalTreeSweep), expected);
+  const MbrPairSet expected = {{1, 2}};
+  EXPECT_EQ(RunJoin(r, s), expected);
 }
 
 struct SweepCase {
@@ -99,14 +95,13 @@ struct SweepCase {
 
 class PlaneSweepPropertyTest : public ::testing::TestWithParam<SweepCase> {};
 
+// The nested-loops reference is the all-pairs oracle.
 TEST_P(PlaneSweepPropertyTest, AllAlgorithmsMatchNestedLoops) {
   const SweepCase& c = GetParam();
   Rng rng(c.seed);
   const auto r = RandomRects(&rng, c.nr, 100.0, c.max_size, 0);
   const auto s = RandomRects(&rng, c.ns, 100.0, c.max_size, 1 << 20);
-  const PairSet expected = RunJoin(r, s, SweepAlgorithm::kNestedLoops);
-  EXPECT_EQ(RunJoin(r, s, SweepAlgorithm::kForwardSweep), expected);
-  EXPECT_EQ(RunJoin(r, s, SweepAlgorithm::kIntervalTreeSweep), expected);
+  EXPECT_EQ(RunJoin(r, s), AllPairsMbrJoin(r, s));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -124,8 +119,8 @@ TEST(PlaneSweepJoinTest, ReturnsEmittedCount) {
   auto r = RandomRects(&rng, 100, 50, 5, 0);
   auto s = RandomRects(&rng, 100, 50, 5, 1000);
   uint64_t emitted = 0;
-  const uint64_t reported =
-      PlaneSweepJoin(&r, &s, [&](uint64_t, uint64_t) { ++emitted; });
+  const uint64_t reported = PlaneSweepJoinBatch(
+      &r, &s, [&](const OidPair*, size_t n) { emitted += n; });
   EXPECT_EQ(reported, emitted);
 }
 

@@ -31,6 +31,7 @@
 
 #include "common/rng.h"
 #include "core/join_options.h"
+#include "geom/hilbert.h"
 #include "geom/predicates.h"
 #include "storage/tuple.h"
 
@@ -151,7 +152,7 @@ TEST_F(RefinementFuzzTest, OccupancyBitsAreOverInclusive) {
   for (int iter = 0; iter < 120; ++iter) {
     const uint32_t order = 4 + static_cast<uint32_t>(rng.Uniform(6));
     const uint32_t max_cells = 16u << rng.Uniform(5);
-    const CellGrid grid(universe_, order, SpaceFillingCurve::Kind::kHilbert);
+    const CellGrid grid(universe_, order);
     const Geometry g = RandomGeometry(&rng, universe_);
     CellCover cover;
     RasterizeGeometry(g, grid, max_cells, &cover);
@@ -182,7 +183,7 @@ TEST_F(RefinementFuzzTest, InteriorBitsAreUnderInclusive) {
   uint64_t interior_cells = 0;
   for (int iter = 0; iter < 80; ++iter) {
     const uint32_t order = 5 + static_cast<uint32_t>(rng.Uniform(5));
-    const CellGrid grid(universe_, order, SpaceFillingCurve::Kind::kHilbert);
+    const CellGrid grid(universe_, order);
     const Geometry g = RandomPolygon(&rng, universe_, rng.Bernoulli(0.5));
     CellCover cover;
     RasterizeGeometry(g, grid, /*max_cells=*/256, &cover);
@@ -226,7 +227,7 @@ TEST_F(RefinementFuzzTest, SegmentBucketsAreComplete) {
   uint64_t bucketed_hits = 0;
   for (int iter = 0; iter < 120; ++iter) {
     const uint32_t order = 4 + static_cast<uint32_t>(rng.Uniform(6));
-    const CellGrid grid(universe_, order, SpaceFillingCurve::Kind::kHilbert);
+    const CellGrid grid(universe_, order);
     const Geometry g = rng.Bernoulli(0.5)
                            ? RandomPolygon(&rng, universe_, rng.Bernoulli(0.3))
                            : RandomPolyline(&rng, universe_);

@@ -1,9 +1,9 @@
-// Differential tests for the vectorized filter kernels: the scalar batch
-// kernel, the AVX2 batch kernel, and the legacy per-pair emitter wrapper
-// must produce bit-identical pair sets on every algorithm and input shape —
-// including the shapes that stress SIMD lane handling (sizes straddling the
-// 4-lane width and the pad granule), closed-boundary touches, zero-area
-// MBRs, duplicate xlo keys, and pair counts that overflow the batch buffer.
+// Differential tests for the vectorized filter kernels: the forward sweep
+// on the scalar batch kernel and on the AVX2 batch kernel must produce the
+// all-pairs oracle's pair set on every input shape — including the shapes
+// that stress SIMD lane handling (sizes straddling the 4-lane width and the
+// pad granule), closed-boundary touches, zero-area MBRs, duplicate xlo
+// keys, and pair counts that overflow the batch buffer.
 
 #include "core/sweep_kernel.h"
 
@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <set>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -19,11 +18,10 @@
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "core/plane_sweep_join.h"
+#include "tests/test_util.h"
 
 namespace pbsm {
 namespace {
-
-using PairSet = std::set<std::pair<uint64_t, uint64_t>>;
 
 /// Scoped PBSM_SIMD override (restores the prior value on destruction).
 class ScopedSimdEnv {
@@ -51,26 +49,17 @@ class ScopedSimdEnv {
   bool had_prev_ = false;
 };
 
-PairSet RunBatch(std::vector<KeyPointer> r, std::vector<KeyPointer> s,
-                 SweepAlgorithm algo, SimdMode simd,
-                 InputOrder order = InputOrder::kUnsorted) {
+MbrPairSet RunBatch(std::vector<KeyPointer> r, std::vector<KeyPointer> s,
+                    SimdMode simd, InputOrder order = InputOrder::kUnsorted) {
   std::vector<OidPair> out;
   const uint64_t n =
-      PlaneSweepJoinBatch(&r, &s, VectorBatchSink{&out}, algo, simd, order);
+      PlaneSweepJoinBatch(&r, &s, VectorBatchSink{&out}, simd, order);
   EXPECT_EQ(n, out.size());
-  PairSet set;
+  MbrPairSet set;
   for (const OidPair& p : out) set.emplace(p.r, p.s);
   // Each candidate is emitted exactly once per sweep.
   EXPECT_EQ(set.size(), out.size());
   return set;
-}
-
-PairSet RunLegacy(std::vector<KeyPointer> r, std::vector<KeyPointer> s,
-                  SweepAlgorithm algo) {
-  PairSet out;
-  PlaneSweepJoin(
-      &r, &s, [&](uint64_t a, uint64_t b) { out.emplace(a, b); }, algo);
-  return out;
 }
 
 std::vector<KeyPointer> RandomRects(Rng* rng, size_t n, double extent,
@@ -87,27 +76,13 @@ std::vector<KeyPointer> RandomRects(Rng* rng, size_t n, double extent,
   return out;
 }
 
-constexpr SweepAlgorithm kAllAlgorithms[] = {
-    SweepAlgorithm::kForwardSweep,
-    SweepAlgorithm::kIntervalTreeSweep,
-    SweepAlgorithm::kNestedLoops,
-};
-
-/// Asserts every (algorithm, kernel) combination agrees with the scalar
-/// forward-sweep result and with the legacy wrapper.
+/// Asserts every kernel's forward sweep agrees with the all-pairs oracle.
 void ExpectAllEquivalent(const std::vector<KeyPointer>& r,
                          const std::vector<KeyPointer>& s) {
-  const PairSet expected =
-      RunBatch(r, s, SweepAlgorithm::kForwardSweep, SimdMode::kScalar);
-  for (const SweepAlgorithm algo : kAllAlgorithms) {
-    EXPECT_EQ(RunBatch(r, s, algo, SimdMode::kScalar), expected)
-        << "scalar, algo " << static_cast<int>(algo);
-    EXPECT_EQ(RunLegacy(r, s, algo), expected)
-        << "legacy, algo " << static_cast<int>(algo);
-    if (Avx2Supported()) {
-      EXPECT_EQ(RunBatch(r, s, algo, SimdMode::kAvx2), expected)
-          << "avx2, algo " << static_cast<int>(algo);
-    }
+  const MbrPairSet expected = AllPairsMbrJoin(r, s);
+  EXPECT_EQ(RunBatch(r, s, SimdMode::kScalar), expected) << "scalar";
+  if (Avx2Supported()) {
+    EXPECT_EQ(RunBatch(r, s, SimdMode::kAvx2), expected) << "avx2";
   }
 }
 
@@ -206,9 +181,8 @@ TEST(SweepKernelGeometryTest, TouchingBoundariesMatch) {
       {Rect(1, 1, 2, 2), 10},   // Corner-touch r1 at (1,1) and r2 at (2,1).
       {Rect(3, 0, 4, 1), 20},   // Edge-touch r2.
       {Rect(1, 0, 2, 1), 30}};  // Edge-touch both.
-  const PairSet expected = {{1, 10}, {2, 10}, {2, 20}, {1, 30}, {2, 30}};
-  EXPECT_EQ(RunBatch(r, s, SweepAlgorithm::kForwardSweep, SimdMode::kScalar),
-            expected);
+  const MbrPairSet expected = {{1, 10}, {2, 10}, {2, 20}, {1, 30}, {2, 30}};
+  EXPECT_EQ(RunBatch(r, s, SimdMode::kScalar), expected);
   ExpectAllEquivalent(r, s);
 }
 
@@ -218,9 +192,8 @@ TEST(SweepKernelGeometryTest, ZeroAreaRects) {
   std::vector<KeyPointer> s = {{Rect(1, 1, 1, 1), 10},   // Same point.
                                {Rect(2, 0, 2, 4), 20},   // Vertical line.
                                {Rect(3, 3, 3, 3), 30}};  // Isolated point.
-  const PairSet expected = {{1, 10}, {2, 20}};
-  EXPECT_EQ(RunBatch(r, s, SweepAlgorithm::kForwardSweep, SimdMode::kScalar),
-            expected);
+  const MbrPairSet expected = {{1, 10}, {2, 20}};
+  EXPECT_EQ(RunBatch(r, s, SimdMode::kScalar), expected);
   ExpectAllEquivalent(r, s);
 }
 
@@ -259,8 +232,7 @@ TEST(SweepKernelBufferTest, PairCountBeyondBufferCapacity) {
   Counter* const flushes =
       MetricsRegistry::Global().GetCounter("sweep.buffer.flushes");
   const uint64_t flushes_before = flushes->Value();
-  const PairSet scalar =
-      RunBatch(r, s, SweepAlgorithm::kForwardSweep, SimdMode::kScalar);
+  const MbrPairSet scalar = RunBatch(r, s, SimdMode::kScalar);
   EXPECT_EQ(scalar.size(), 6400u);
   EXPECT_GE(flushes->Value(), flushes_before + 2);  // >1 flush per sweep.
   ExpectAllEquivalent(r, s);
@@ -276,10 +248,10 @@ TEST(SweepKernelBufferTest, KernelMetricsAdvance) {
       MetricsRegistry::Global().GetCounter("sweep.kernel.simd_lanes_used");
   const uint64_t batches_before = batches->Value();
   const uint64_t lanes_before = lanes->Value();
-  RunBatch(r, s, SweepAlgorithm::kForwardSweep, SimdMode::kScalar);
+  RunBatch(r, s, SimdMode::kScalar);
   EXPECT_GT(batches->Value(), batches_before);
   if (Avx2Supported()) {
-    RunBatch(r, s, SweepAlgorithm::kForwardSweep, SimdMode::kAvx2);
+    RunBatch(r, s, SimdMode::kAvx2);
     EXPECT_GT(lanes->Value(), lanes_before);
   }
 }
@@ -292,19 +264,16 @@ TEST(SweepKernelSortedTest, SortedByXloSkipsSortAndMatches) {
   Rng rng(21);
   auto r = RandomRects(&rng, 200, 40.0, 6.0, 0);
   auto s = RandomRects(&rng, 200, 40.0, 6.0, 1 << 20);
-  const PairSet expected =
-      RunBatch(r, s, SweepAlgorithm::kForwardSweep, SimdMode::kScalar);
+  const MbrPairSet expected = RunBatch(r, s, SimdMode::kScalar);
   auto by_xlo = [](const KeyPointer& a, const KeyPointer& b) {
     return a.mbr.xlo < b.mbr.xlo;
   };
   std::sort(r.begin(), r.end(), by_xlo);
   std::sort(s.begin(), s.end(), by_xlo);
-  EXPECT_EQ(RunBatch(r, s, SweepAlgorithm::kForwardSweep, SimdMode::kScalar,
-                     InputOrder::kSortedByXlo),
+  EXPECT_EQ(RunBatch(r, s, SimdMode::kScalar, InputOrder::kSortedByXlo),
             expected);
   if (Avx2Supported()) {
-    EXPECT_EQ(RunBatch(r, s, SweepAlgorithm::kForwardSweep, SimdMode::kAvx2,
-                       InputOrder::kSortedByXlo),
+    EXPECT_EQ(RunBatch(r, s, SimdMode::kAvx2, InputOrder::kSortedByXlo),
               expected);
   }
 }
@@ -355,8 +324,7 @@ TEST(SweepScratchTest, ReservedBytesGaugeTracksScratch) {
     std::vector<KeyPointer> r = {{Rect(0, 0, 1, 1), 1}};
     std::vector<KeyPointer> s = {{Rect(0, 0, 1, 1), 2}};
     std::vector<OidPair> out;
-    PlaneSweepJoinBatch(&r, &s, VectorBatchSink{&out},
-                        SweepAlgorithm::kForwardSweep, SimdMode::kScalar,
+    PlaneSweepJoinBatch(&r, &s, VectorBatchSink{&out}, SimdMode::kScalar,
                         InputOrder::kUnsorted, &scratch);
     EXPECT_GT(gauge->Value(), before);
   }
@@ -374,20 +342,18 @@ TEST(SweepScratchTest, ThreadLocalScratchIsPerThread) {
 }
 
 TEST(SweepScratchTest, ReuseAcrossSweepsIsCorrect) {
-  // Growing/shrinking inputs through one scratch: stale SoA or event state
-  // from a larger earlier sweep must not leak into a smaller later one.
+  // Growing/shrinking inputs through one scratch: stale SoA state from a
+  // larger earlier sweep must not leak into a smaller later one.
   SweepScratch scratch;
   Rng rng(53);
   for (const size_t n : {500u, 3u, 64u, 1u, 129u}) {
     auto r = RandomRects(&rng, n, 30.0, 6.0, 0);
     auto s = RandomRects(&rng, n, 30.0, 6.0, 1 << 20);
-    const PairSet expected = RunBatch(r, s, SweepAlgorithm::kNestedLoops,
-                                      SimdMode::kScalar);
+    const MbrPairSet expected = AllPairsMbrJoin(r, s);
     std::vector<OidPair> out;
-    PlaneSweepJoinBatch(&r, &s, VectorBatchSink{&out},
-                        SweepAlgorithm::kForwardSweep, SimdMode::kAuto,
+    PlaneSweepJoinBatch(&r, &s, VectorBatchSink{&out}, SimdMode::kAuto,
                         InputOrder::kUnsorted, &scratch);
-    PairSet got;
+    MbrPairSet got;
     for (const OidPair& p : out) got.emplace(p.r, p.s);
     EXPECT_EQ(got, expected) << "n=" << n;
   }

@@ -3,11 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
+#include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "core/key_pointer.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
 
@@ -35,6 +40,23 @@ namespace pbsm {
 
 #define PBSM_CONCAT_TEST_(a, b) PBSM_CONCAT_TEST_IMPL_(a, b)
 #define PBSM_CONCAT_TEST_IMPL_(a, b) a##b
+
+/// Set of (r_oid, s_oid) candidate pairs, for order-free comparison.
+using MbrPairSet = std::set<std::pair<uint64_t, uint64_t>>;
+
+/// The MBR-join oracle: every (r.oid, s.oid) whose MBRs intersect (closed
+/// boundaries), found by testing all |r| x |s| pairs with Rect::Intersects.
+/// Shares no code with the sweep kernels it checks.
+inline MbrPairSet AllPairsMbrJoin(const std::vector<KeyPointer>& r,
+                                  const std::vector<KeyPointer>& s) {
+  MbrPairSet out;
+  for (const KeyPointer& a : r) {
+    for (const KeyPointer& b : s) {
+      if (a.mbr.Intersects(b.mbr)) out.emplace(a.oid, b.oid);
+    }
+  }
+  return out;
+}
 
 /// Creates a unique scratch directory and a DiskManager + BufferPool over
 /// it; removes everything on destruction.
