@@ -46,6 +46,9 @@ Status InlFilter(BufferPool* pool, const JoinInput& indexed,
       append_status = sorter->AddBatch(buf.data(), buf.size());
       buf.clear();
     };
+    // One kernel resolution and one metric flush per join, not per probe.
+    const KernelKind kind = ResolveKernel(opts.simd);
+    RibbonScanStats scan_stats;
     std::vector<uint64_t> hits;
     const Status scan_status = probing.heap->Scan(
         [&](Oid p_oid, const char* data, size_t size) -> Status {
@@ -55,7 +58,8 @@ Status InlFilter(BufferPool* pool, const JoinInput& indexed,
           }
           PBSM_ASSIGN_OR_RETURN(const Rect p_mbr, ParseTupleMbr(data, size));
           hits.clear();
-          PBSM_RETURN_IF_ERROR(index->WindowQuery(p_mbr, &hits, opts.simd));
+          PBSM_RETURN_IF_ERROR(
+              index->ProbeWindow(p_mbr, kind, &hits, &scan_stats));
           breakdown->candidates += hits.size();
           for (const uint64_t i_encoded : hits) {
             buf.push_back(emit_indexed_first
@@ -66,6 +70,7 @@ Status InlFilter(BufferPool* pool, const JoinInput& indexed,
           return append_status;
         });
     flush();
+    FlushRibbonScanStats(scan_stats);
     PBSM_RETURN_IF_ERROR(scan_status);
     PBSM_RETURN_IF_ERROR(append_status);
   }

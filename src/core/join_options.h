@@ -63,11 +63,10 @@ struct JoinOptions {
   SegmentTestMode refinement_mode = SegmentTestMode::kPlaneSweep;
   /// BKSS94 MBR/MER pre-filter for containment refinement.
   bool use_mer_filter = false;
-  /// Adaptive true-hit filtering (ROADMAP item 4, arXiv 1802.09488):
-  /// refine.mode picks exact / adaptive / approximate, refine.grid_order
-  /// the cell precision (0 = auto from catalog stats, or planner-chosen
-  /// when the join runs through the service). INL always refines exactly
-  /// and ignores this knob.
+  /// Adaptive true-hit filtering (arXiv 1802.09488): refine.mode picks
+  /// exact or adaptive, refine.grid_order the cell precision (0 = auto
+  /// from catalog stats, or planner-chosen when the join runs through the
+  /// service). INL always refines exactly and ignores this knob.
   RefineOptions refine;
 
   // --- Index construction (INL / R-tree join) ---

@@ -22,10 +22,19 @@ std::vector<KeyPointer> ToKeyPointers(const std::vector<RTreeEntry>& entries) {
   return out;
 }
 
+/// What every node pair of one tree join shares: the filter kernel,
+/// resolved once at the join's entry, the scan counters, flushed once at
+/// its end, and where candidates go.
+struct TreeJoin {
+  KernelKind kind;
+  SimdMode simd;  ///< `kind` as a SimdMode, for the AoS plane sweep.
+  RibbonScanStats stats;
+  CandidateSorter* sorter;
+  JoinCostBreakdown* breakdown;
+};
+
 Status JoinNodes(const RStarTree& r_tree, uint32_t r_page,
-                 const RStarTree& s_tree, uint32_t s_page,
-                 const JoinOptions& opts, CandidateSorter* sorter,
-                 JoinCostBreakdown* breakdown);
+                 const RStarTree& s_tree, uint32_t s_page, TreeJoin* join);
 
 /// BKS93 node pair over in-memory ribbons: every same-level entry pairing
 /// runs as masked window scans of the S ribbon (one scan per R entry, 16
@@ -35,11 +44,9 @@ Status JoinNodes(const RStarTree& r_tree, uint32_t r_page,
 /// while ribbons exist).
 Status JoinRibbonNodes(const RStarTree& r_tree, const NodeRibbon& r_rb,
                        const RStarTree& s_tree, const NodeRibbon& s_rb,
-                       uint32_t r_page, uint32_t s_page,
-                       const JoinOptions& opts, CandidateSorter* sorter,
-                       JoinCostBreakdown* breakdown) {
-  const KernelKind kind = ResolveKernel(opts.simd);
-  RibbonScanStats stats;
+                       uint32_t r_page, uint32_t s_page, TreeJoin* join) {
+  const KernelKind kind = join->kind;
+  RibbonScanStats* const stats = &join->stats;
 
   // Unequal heights: descend the deeper side alone, restricting to children
   // overlapping the other node's MBR (stored on the ribbon).
@@ -51,16 +58,13 @@ Status JoinRibbonNodes(const RStarTree& r_tree, const NodeRibbon& r_rb,
     // function, which would clobber a shared thread-local.
     std::vector<uint32_t> idx(deep.count());
     const size_t n = ScanRibbonWindow(deep, other_mbr, kind, idx.data(),
-                                      &stats);
-    FlushRibbonScanStats(stats);
+                                      stats);
     const uint64_t* handles = deep.handles();
     for (size_t i = 0; i < n; ++i) {
       const uint32_t child = static_cast<uint32_t>(handles[idx[i]]);
       PBSM_RETURN_IF_ERROR(
-          r_deeper ? JoinNodes(r_tree, child, s_tree, s_page, opts, sorter,
-                               breakdown)
-                   : JoinNodes(r_tree, r_page, s_tree, child, opts, sorter,
-                               breakdown));
+          r_deeper ? JoinNodes(r_tree, child, s_tree, s_page, join)
+                   : JoinNodes(r_tree, r_page, s_tree, child, join));
     }
     return Status::OK();
   }
@@ -72,14 +76,14 @@ Status JoinRibbonNodes(const RStarTree& r_tree, const NodeRibbon& r_rb,
   if (r_rb.level() == 0) {
     // Leaf-leaf: emit candidate pairs in kPairBufferCap blocks.
     Status append_status;
-    SorterBatchSink<CandidateSorter> sink{sorter, &append_status};
+    SorterBatchSink<CandidateSorter> sink{join->sorter, &append_status};
     std::vector<OidPair> buf(kPairBufferCap);
     size_t buf_size = 0;
     for (size_t i = 0; i < rv.size; ++i) {
       const Rect head(rv.xlo[i], rv.ylo[i], rv.xhi[i], rv.yhi[i]);
-      const size_t n = ScanRibbonWindow(s_rb, head, kind, idx.data(), &stats);
-      stats.leaf_hits += n;
-      breakdown->candidates += n;
+      const size_t n = ScanRibbonWindow(s_rb, head, kind, idx.data(), stats);
+      stats->leaf_hits += n;
+      join->breakdown->candidates += n;
       for (size_t j = 0; j < n; ++j) {
         if (buf_size == kPairBufferCap) {
           sink(buf.data(), buf_size);
@@ -89,7 +93,6 @@ Status JoinRibbonNodes(const RStarTree& r_tree, const NodeRibbon& r_rb,
       }
     }
     if (buf_size != 0) sink(buf.data(), buf_size);
-    FlushRibbonScanStats(stats);
     return append_status;
   }
 
@@ -97,16 +100,14 @@ Status JoinRibbonNodes(const RStarTree& r_tree, const NodeRibbon& r_rb,
   std::vector<std::pair<uint32_t, uint32_t>> child_pairs;
   for (size_t i = 0; i < rv.size; ++i) {
     const Rect head(rv.xlo[i], rv.ylo[i], rv.xhi[i], rv.yhi[i]);
-    const size_t n = ScanRibbonWindow(s_rb, head, kind, idx.data(), &stats);
+    const size_t n = ScanRibbonWindow(s_rb, head, kind, idx.data(), stats);
     for (size_t j = 0; j < n; ++j) {
       child_pairs.emplace_back(static_cast<uint32_t>(rv.oid[i]),
                                static_cast<uint32_t>(s_handles[idx[j]]));
     }
   }
-  FlushRibbonScanStats(stats);
   for (const auto& [rc, sc] : child_pairs) {
-    PBSM_RETURN_IF_ERROR(
-        JoinNodes(r_tree, rc, s_tree, sc, opts, sorter, breakdown));
+    PBSM_RETURN_IF_ERROR(JoinNodes(r_tree, rc, s_tree, sc, join));
   }
   return Status::OK();
 }
@@ -114,15 +115,13 @@ Status JoinRibbonNodes(const RStarTree& r_tree, const NodeRibbon& r_rb,
 /// Synchronized depth-first traversal (BKS93). Joins the nodes rooted at
 /// `r_page`/`s_page`; leaf-leaf matches are appended to `sorter`.
 Status JoinNodes(const RStarTree& r_tree, uint32_t r_page,
-                 const RStarTree& s_tree, uint32_t s_page,
-                 const JoinOptions& opts, CandidateSorter* sorter,
-                 JoinCostBreakdown* breakdown) {
+                 const RStarTree& s_tree, uint32_t s_page, TreeJoin* join) {
   // Both sides ribboned (the bulk-load default): scan in memory.
   const NodeRibbon* r_rb = r_tree.ribbon(r_page);
   const NodeRibbon* s_rb = s_tree.ribbon(s_page);
   if (r_rb != nullptr && s_rb != nullptr) {
     return JoinRibbonNodes(r_tree, *r_rb, s_tree, *s_rb, r_page, s_page,
-                           opts, sorter, breakdown);
+                           join);
   }
 
   uint16_t r_level = 0, s_level = 0;
@@ -134,7 +133,7 @@ Status JoinNodes(const RStarTree& r_tree, uint32_t r_page,
   // the levels line up, restricting to children overlapping the other
   // node's MBR.
   if (r_level != s_level) {
-    const KernelKind kind = ResolveKernel(opts.simd);
+    const KernelKind kind = join->kind;
     std::vector<uint32_t> hits;
     if (r_level > s_level) {
       Rect s_mbr;
@@ -143,7 +142,7 @@ Status JoinNodes(const RStarTree& r_tree, uint32_t r_page,
       for (const uint32_t i : hits) {
         PBSM_RETURN_IF_ERROR(
             JoinNodes(r_tree, static_cast<uint32_t>(r_entries[i].handle),
-                      s_tree, s_page, opts, sorter, breakdown));
+                      s_tree, s_page, join));
       }
     } else {
       Rect r_mbr;
@@ -152,8 +151,7 @@ Status JoinNodes(const RStarTree& r_tree, uint32_t r_page,
       for (const uint32_t i : hits) {
         PBSM_RETURN_IF_ERROR(
             JoinNodes(r_tree, r_page, s_tree,
-                      static_cast<uint32_t>(s_entries[i].handle), opts,
-                      sorter, breakdown));
+                      static_cast<uint32_t>(s_entries[i].handle), join));
       }
     }
     return Status::OK();
@@ -166,9 +164,10 @@ Status JoinNodes(const RStarTree& r_tree, uint32_t r_page,
 
   if (r_level == 0) {
     Status append_status;
-    breakdown->candidates += PlaneSweepJoinBatch(
+    join->breakdown->candidates += PlaneSweepJoinBatch(
         &r_kps, &s_kps,
-        SorterBatchSink<CandidateSorter>{sorter, &append_status}, opts.simd);
+        SorterBatchSink<CandidateSorter>{join->sorter, &append_status},
+        join->simd);
     return append_status;
   }
 
@@ -181,10 +180,9 @@ Status JoinNodes(const RStarTree& r_tree, uint32_t r_page,
                                    static_cast<uint32_t>(pairs[i].s));
         }
       },
-      opts.simd);
+      join->simd);
   for (const auto& [rc, sc] : child_pairs) {
-    PBSM_RETURN_IF_ERROR(
-        JoinNodes(r_tree, rc, s_tree, sc, opts, sorter, breakdown));
+    PBSM_RETURN_IF_ERROR(JoinNodes(r_tree, rc, s_tree, sc, join));
   }
   return Status::OK();
 }
@@ -226,9 +224,15 @@ Status RtreeFilter(BufferPool* pool, const JoinInput& r, const JoinInput& s,
   {
     PhaseCost& cost = breakdown->AddPhase("join trees");
     PhaseTimer timer(disk, &cost, "join trees");
-    PBSM_RETURN_IF_ERROR(JoinNodes(*r_index, r_index->root_page(), *s_index,
-                                   s_index->root_page(), opts, sorter,
-                                   breakdown));
+    const KernelKind kind = ResolveKernel(opts.simd);
+    TreeJoin join{kind,
+                  kind == KernelKind::kAvx2 ? SimdMode::kAvx2
+                                            : SimdMode::kScalar,
+                  {}, sorter, breakdown};
+    const Status st = JoinNodes(*r_index, r_index->root_page(), *s_index,
+                                s_index->root_page(), &join);
+    FlushRibbonScanStats(join.stats);
+    PBSM_RETURN_IF_ERROR(st);
   }
 
   // Indexes built for this join are filter-local scratch: once the

@@ -67,8 +67,9 @@ bool Avx2Supported() {
 KernelKind ResolveKernel(SimdMode requested) {
   SimdMode mode = requested;
   if (mode == SimdMode::kAuto) {
-    // Read per call (sweeps are coarse-grained) so tests and operators can
-    // flip the knob without rebuilding resolution caches.
+    // Read at every resolution, so tests and operators can flip the knob
+    // without rebuilding resolution caches. getenv is not free: joins
+    // resolve once at entry and pass the KernelKind to per-probe code.
     const char* env = std::getenv("PBSM_SIMD");
     if (env != nullptr) {
       if (std::strcmp(env, "scalar") == 0) {

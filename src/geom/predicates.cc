@@ -1,6 +1,7 @@
 #include "geom/predicates.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/logging.h"
 
@@ -38,12 +39,21 @@ struct SweepSeg {
   Segment seg;
 };
 
-/// The red and blue sweep arrays of the calling thread. Their capacity
-/// persists across calls, so a warm thread refines allocation-free. No
-/// user of the arrays calls another, so one pair per thread suffices.
+/// A point where an outer boundary touches inner segment `*seg` without
+/// crossing it; `t` orders the contacts along the segment.
+struct Contact {
+  const SweepSeg* seg;
+  double t;
+  Point p;
+};
+
+/// The red and blue sweep arrays of the calling thread, kept at their
+/// high-water size so a warm thread refines allocation-free. No user of
+/// the arrays calls another, so one set per thread suffices.
 struct SweepScratch {
   std::vector<SweepSeg> red;
   std::vector<SweepSeg> blue;
+  std::vector<Contact> contacts;  ///< Contains' touch points.
 };
 
 SweepScratch& Scratch() {
@@ -51,34 +61,75 @@ SweepScratch& Scratch() {
   return scratch;
 }
 
-void Fill(const GeometryView& g, std::vector<SweepSeg>* out) {
-  out->clear();
-  AnySegment(g, [out](const Point& a, const Point& b) {
-    const Segment s{a, b};
-    out->push_back(SweepSeg{s.Mbr(), s});
-    return false;
-  });
+/// A point's (x, y), or a corner of an MBR, as one 2-lane vector, so the
+/// fill below bounds and window-tests both axes in one instruction each.
+typedef double Pair __attribute__((vector_size(2 * sizeof(double))));
+
+/// Stores segment (a, b) at out[n] and returns the next free index: n + 1
+/// when the segment's MBR meets the window [wlo, whi], n (so the slot is
+/// overwritten) when it does not. Branch-free, because which segments
+/// survive is data.
+inline size_t Keep(SweepSeg* out, size_t n, const Point& a, const Point& b,
+                   Pair wlo, Pair whi) {
+  Pair pa, pb;
+  std::memcpy(&pa, &a, sizeof(pa));
+  std::memcpy(&pb, &b, sizeof(pb));
+  const Pair lo = pb < pa ? pb : pa;  // (xlo, ylo), as std::min.
+  const Pair hi = pa < pb ? pb : pa;  // (xhi, yhi), as std::max.
+  SweepSeg& d = out[n];
+  static_assert(sizeof(Rect) == 2 * sizeof(Pair));  // xlo, ylo, xhi, yhi.
+  unsigned char* const mbr = reinterpret_cast<unsigned char*>(&d.mbr);
+  std::memcpy(mbr, &lo, sizeof(lo));
+  std::memcpy(mbr + sizeof(lo), &hi, sizeof(hi));
+  d.seg = Segment{a, b};
+  const auto meets = (lo <= whi) & (wlo <= hi);
+  return n + static_cast<size_t>(meets[0] & meets[1] & 1);
+}
+
+/// Writes the boundary segments of `g` whose MBRs meet `window` to the
+/// front of `*buf` and returns them. A point of one boundary shared with
+/// another geometry lies in both MBRs, so with window = the MBRs'
+/// intersection no dropped segment has a partner to intersect.
+std::span<SweepSeg> FillWindow(const GeometryView& g, const Rect& window,
+                               std::vector<SweepSeg>* buf) {
+  const std::span<const Point> pts = g.points();
+  // A ring contributes at most as many segments as it has vertices.
+  if (buf->size() < pts.size()) buf->resize(pts.size());
+  SweepSeg* const out = buf->data();
+  const bool closed = g.type() == GeometryType::kPolygon;
+  const Pair wlo = {window.xlo, window.ylo};
+  const Pair whi = {window.xhi, window.yhi};
+  size_t n = 0;
+  size_t begin = 0;
+  for (const uint32_t end : g.ring_ends()) {
+    for (size_t i = begin; i + 1 < end; ++i) {
+      n = Keep(out, n, pts[i], pts[i + 1], wlo, whi);
+    }
+    if (closed) n = Keep(out, n, pts[end - 1], pts[begin], wlo, whi);
+    begin = end;
+  }
+  return {out, n};
 }
 
 /// Forward plane sweep (Brinkhoff et al. style): both sides sorted by
 /// MBR.xlo; repeatedly take the head with the smaller xlo and scan the other
-/// side while its xlo is within the head's x-extent. visit(head, other)
-/// runs on every pair whose MBRs overlap; returning true stops the sweep.
+/// side while its xlo is within the head's x-extent. visit(red, blue) runs
+/// on every pair whose MBRs overlap; returning true stops the sweep.
 template <typename Visit>
-bool Sweep(std::vector<SweepSeg>& r, std::vector<SweepSeg>& b,
-           Visit&& visit) {
+bool Sweep(std::span<SweepSeg> r, std::span<SweepSeg> b, Visit&& visit) {
   auto by_xlo = [](const SweepSeg& x, const SweepSeg& y) {
     return x.mbr.xlo < y.mbr.xlo;
   };
   std::sort(r.begin(), r.end(), by_xlo);
   std::sort(b.begin(), b.end(), by_xlo);
 
-  auto scan = [&](const SweepSeg& head, const std::vector<SweepSeg>& other,
-                  size_t from) {
+  auto scan = [&](const SweepSeg& head, std::span<const SweepSeg> other,
+                  size_t from, bool head_is_red) {
     for (size_t k = from;
          k < other.size() && other[k].mbr.xlo <= head.mbr.xhi; ++k) {
       if (head.mbr.ylo <= other[k].mbr.yhi &&
-          other[k].mbr.ylo <= head.mbr.yhi && visit(head, other[k])) {
+          other[k].mbr.ylo <= head.mbr.yhi &&
+          (head_is_red ? visit(head, other[k]) : visit(other[k], head))) {
         return true;
       }
     }
@@ -88,43 +139,79 @@ bool Sweep(std::vector<SweepSeg>& r, std::vector<SweepSeg>& b,
   size_t i = 0, j = 0;
   while (i < r.size() && j < b.size()) {
     if (r[i].mbr.xlo <= b[j].mbr.xlo) {
-      if (scan(r[i], b, j)) return true;
+      if (scan(r[i], b, j, true)) return true;
       ++i;
     } else {
-      if (scan(b[j], r, i)) return true;
+      if (scan(b[j], r, i, false)) return true;
       ++j;
     }
   }
   return false;
 }
 
-/// True when some red segment intersects some blue segment. The sweep
-/// reorders both arrays.
-bool SweepSegsIntersect(std::vector<SweepSeg>& red,
-                        std::vector<SweepSeg>& blue, SegmentTestMode mode) {
+/// Runs visit(red, blue) on every pair whose MBRs overlap, with the
+/// algorithm `mode` names, until it returns true. The sweep reorders both
+/// spans.
+template <typename Visit>
+bool VisitPairs(std::span<SweepSeg> red, std::span<SweepSeg> blue,
+                SegmentTestMode mode, Visit&& visit) {
   if (red.empty() || blue.empty()) return false;
   if (mode == SegmentTestMode::kNaive) {
     // All pairs with an MBR quick reject: the unoptimized Paradise path.
     for (const SweepSeg& r : red) {
       for (const SweepSeg& b : blue) {
-        if (r.mbr.Intersects(b.mbr) && SegmentsIntersect(r.seg, b.seg)) {
-          return true;
-        }
+        if (r.mbr.Intersects(b.mbr) && visit(r, b)) return true;
       }
     }
     return false;
   }
-  return Sweep(red, blue, [](const SweepSeg& x, const SweepSeg& y) {
+  return Sweep(red, blue, visit);
+}
+
+/// True when some red segment intersects some blue segment.
+bool SweepSegsIntersect(std::span<SweepSeg> red, std::span<SweepSeg> blue,
+                        SegmentTestMode mode) {
+  return VisitPairs(red, blue, mode, [](const SweepSeg& x, const SweepSeg& y) {
     return SegmentsIntersect(x.seg, y.seg);
   });
 }
 
 bool BoundariesIntersect(const GeometryView& a, const GeometryView& b,
                          SegmentTestMode mode) {
+  const Rect w = Rect::Intersection(a.Mbr(), b.Mbr());
   SweepScratch& s = Scratch();
-  Fill(a, &s.red);
-  Fill(b, &s.blue);
-  return SweepSegsIntersect(s.red, s.blue, mode);
+  return SweepSegsIntersect(FillWindow(a, w, &s.red), FillWindow(b, w, &s.blue),
+                            mode);
+}
+
+/// True when `p`, known collinear with `s`, lies on it.
+bool WithinSegmentBox(const Point& p, const Segment& s) {
+  return std::min(s.a.x, s.b.x) <= p.x && p.x <= std::max(s.a.x, s.b.x) &&
+         std::min(s.a.y, s.b.y) <= p.y && p.y <= std::max(s.a.y, s.b.y);
+}
+
+/// Tests inner segment `in` against outer segment `out`. Returns true when
+/// they cross properly (one point, interior to both), which puts part of
+/// `in` outside the polygon. Otherwise appends each point where the two
+/// touch, i.e. every endpoint of one lying on the other, to `*contacts`.
+bool CrossesOrTouches(const SweepSeg& in, const Segment& out,
+                      std::vector<Contact>* contacts) {
+  const Segment& s = in.seg;
+  const int o1 = Orientation(s.a, s.b, out.a);
+  const int o2 = Orientation(s.a, s.b, out.b);
+  const int o3 = Orientation(out.a, out.b, s.a);
+  const int o4 = Orientation(out.a, out.b, s.b);
+  if (o1 * o2 < 0 && o3 * o4 < 0) return true;
+  auto touch = [&](const Point& p) {
+    const double t = (p.x - s.a.x) * (s.b.x - s.a.x) +
+                     (p.y - s.a.y) * (s.b.y - s.a.y);
+    contacts->push_back(Contact{&in, t, p});
+  };
+  if (o1 == 0 && WithinSegmentBox(out.a, s)) touch(out.a);
+  if (o2 == 0 && WithinSegmentBox(out.b, s)) touch(out.b);
+  if (o3 == 0 && WithinSegmentBox(s.a, out)) touch(s.a);
+  if (o4 == 0 && WithinSegmentBox(s.b, out)) touch(s.b);
+  return false;
 }
 
 /// One representative vertex (the first of the first ring). Parsing and
@@ -157,11 +244,15 @@ bool SegmentSetsIntersect(const std::vector<Segment>& red,
                           const std::vector<Segment>& blue,
                           SegmentTestMode mode) {
   SweepScratch& s = Scratch();
-  s.red.clear();
-  s.blue.clear();
-  for (const Segment& seg : red) s.red.push_back(SweepSeg{seg.Mbr(), seg});
-  for (const Segment& seg : blue) s.blue.push_back(SweepSeg{seg.Mbr(), seg});
-  return SweepSegsIntersect(s.red, s.blue, mode);
+  auto fill = [](const std::vector<Segment>& segs,
+                 std::vector<SweepSeg>* buf) -> std::span<SweepSeg> {
+    if (buf->size() < segs.size()) buf->resize(segs.size());
+    for (size_t i = 0; i < segs.size(); ++i) {
+      (*buf)[i] = SweepSeg{segs[i].Mbr(), segs[i]};
+    }
+    return {buf->data(), segs.size()};
+  };
+  return SweepSegsIntersect(fill(red, &s.red), fill(blue, &s.blue), mode);
 }
 
 bool Intersects(const GeometryView& a, const GeometryView& b,
@@ -202,16 +293,16 @@ bool Intersects(const GeometryView& a, const GeometryView& b,
 void BoundaryIntersectionPoints(const GeometryView& a, const GeometryView& b,
                                 size_t max_points, std::vector<Point>* out) {
   if (out->size() >= max_points || !a.Mbr().Intersects(b.Mbr())) return;
+  const Rect w = Rect::Intersection(a.Mbr(), b.Mbr());
   SweepScratch& s = Scratch();
-  Fill(a, &s.red);
-  Fill(b, &s.blue);
-  Sweep(s.red, s.blue, [&](const SweepSeg& x, const SweepSeg& y) {
-    Point witness;
-    if (SegmentIntersectionPoint(x.seg, y.seg, &witness)) {
-      out->push_back(witness);
-    }
-    return out->size() >= max_points;
-  });
+  Sweep(FillWindow(a, w, &s.red), FillWindow(b, w, &s.blue),
+        [&](const SweepSeg& x, const SweepSeg& y) {
+          Point witness;
+          if (SegmentIntersectionPoint(x.seg, y.seg, &witness)) {
+            out->push_back(witness);
+          }
+          return out->size() >= max_points;
+        });
 }
 
 bool Contains(const GeometryView& outer, const GeometryView& inner,
@@ -223,41 +314,72 @@ bool Contains(const GeometryView& outer, const GeometryView& inner,
     return PointInPolygon(AnyVertex(inner), outer);
   }
 
+  // Every point the two boundaries share lies in inner's MBR, so only the
+  // outer segments meeting it can cross or touch `inner`.
   SweepScratch& s = Scratch();
-  Fill(inner, &s.red);
-  Fill(outer, &s.blue);
-  const bool boundaries_touch = SweepSegsIntersect(s.red, s.blue, mode);
+  std::vector<Contact>& contacts = s.contacts;
+  contacts.clear();
+  if (VisitPairs(FillWindow(inner, inner.Mbr(), &s.red),
+                 FillWindow(outer, inner.Mbr(), &s.blue), mode,
+                 [&contacts](const SweepSeg& in, const SweepSeg& out) {
+                   return CrossesOrTouches(in, out.seg, &contacts);
+                 })) {
+    return false;  // A proper crossing leaves part of `inner` outside.
+  }
   auto outside = [&outer](const Point& p) {
     return !PointInPolygon(p, outer);
   };
 
-  if (boundaries_touch || mode == SegmentTestMode::kNaive) {
-    // With boundary contact, every vertex and every edge midpoint of
-    // `inner` must lie in `outer`: this accepts inner geometries that touch
-    // the boundary from the inside and rejects any proper crossing (a
-    // crossing leaves some midpoint or vertex outside for non-degenerate
-    // inputs). The unoptimized Paradise-style path checks every vertex
-    // even when the boundaries are disjoint.
+  if (!contacts.empty() || mode == SegmentTestMode::kNaive) {
+    // The unoptimized Paradise-style path checks every vertex even when
+    // the boundaries are disjoint.
     for (const Point& p : inner.points()) {
       if (outside(p)) return false;
     }
-    if (boundaries_touch &&
-        AnySegment(inner, [&outside](const Point& a, const Point& b) {
-          return outside(Point{(a.x + b.x) / 2, (a.y + b.y) / 2});
-        })) {
-      return false;
+    // Touch points split each touched inner edge into pieces that meet the
+    // outer boundary at most at their ends (or lie along it), so each
+    // piece is wholly inside or wholly outside and its midpoint decides.
+    std::sort(contacts.begin(), contacts.end(),
+              [](const Contact& x, const Contact& y) {
+                return x.seg != y.seg ? x.seg < y.seg : x.t < y.t;
+              });
+    for (size_t i = 0; i < contacts.size();) {
+      const SweepSeg* const touched = contacts[i].seg;
+      const Segment& edge = touched->seg;
+      Point from = edge.a;
+      for (; i < contacts.size() && contacts[i].seg == touched; ++i) {
+        const Point& to = contacts[i].p;
+        if (to != from &&
+            outside(Point{(from.x + to.x) / 2, (from.y + to.y) / 2})) {
+          return false;
+        }
+        from = to;
+      }
+      if (from != edge.b &&
+          outside(Point{(from.x + edge.b.x) / 2, (from.y + edge.b.y) / 2})) {
+        return false;
+      }
     }
   } else if (outside(AnyVertex(inner))) {
     // Boundaries disjoint: `inner` is wholly inside or wholly outside.
     return false;
   }
 
-  // A hole of `outer` strictly inside `inner`'s area would carve it.
+  // A hole of `outer` with a vertex strictly inside `inner`'s area would
+  // carve it.
   if (inner.type() == GeometryType::kPolygon) {
+    auto on_inner_boundary = [&inner](const Point& v) {
+      for (size_t r = 0; r < inner.num_rings(); ++r) {
+        if (PointOnRingBoundary(v, inner.ring(r))) return true;
+      }
+      return false;
+    };
     for (size_t h = 1; h < outer.num_rings(); ++h) {
-      const Point& v = outer.ring(h)[0];
-      if (PointInPolygon(v, inner) && !PointOnRingBoundary(v, inner.ring(0))) {
-        return false;
+      for (const Point& v : outer.ring(h)) {
+        if (inner.Mbr().Contains(v) && PointInPolygon(v, inner) &&
+            !on_inner_boundary(v)) {
+          return false;
+        }
       }
     }
   }

@@ -462,11 +462,18 @@ Status RStarTree::Delete(const Rect& mbr, uint64_t oid, bool* found) {
 
 Status RStarTree::WindowQuery(const Rect& window, std::vector<uint64_t>* out,
                               SimdMode simd) const {
-  const KernelKind kind = ResolveKernel(simd);
+  RibbonScanStats stats;
+  const Status st = ProbeWindow(window, ResolveKernel(simd), out, &stats);
+  FlushRibbonScanStats(stats);
+  return st;
+}
+
+Status RStarTree::ProbeWindow(const Rect& window, KernelKind kind,
+                              std::vector<uint64_t>* out,
+                              RibbonScanStats* stats) const {
   std::optional<TraceSpan> span;
   if (SampleProbeSpan()) span.emplace("rtree/window_query");
   ProbeScratch& sc = ProbeScratch::ThreadLocal();
-  RibbonScanStats stats;
   sc.stack.clear();
   sc.stack.push_back(root_page_);
 
@@ -481,10 +488,10 @@ Status RStarTree::WindowQuery(const Rect& window, std::vector<uint64_t>* out,
       PBSM_CHECK(rb != nullptr) << "missing ribbon for page " << page_no;
       if (sc.idx.size() < rb->count()) sc.idx.resize(rb->count());
       const size_t n =
-          ScanRibbonWindow(*rb, window, kind, sc.idx.data(), &stats);
+          ScanRibbonWindow(*rb, window, kind, sc.idx.data(), stats);
       const uint64_t* handles = rb->handles();
       if (rb->level() == 0) {
-        stats.leaf_hits += n;
+        stats->leaf_hits += n;
         const size_t base = out->size();
         out->resize(base + n);
         uint64_t* dst = out->data() + base;
@@ -498,7 +505,6 @@ Status RStarTree::WindowQuery(const Rect& window, std::vector<uint64_t>* out,
         }
       }
     }
-    FlushRibbonScanStats(stats);
     return Status::OK();
   }
 
@@ -509,21 +515,20 @@ Status RStarTree::WindowQuery(const Rect& window, std::vector<uint64_t>* out,
     const uint32_t page_no = sc.stack.back();
     sc.stack.pop_back();
     PBSM_ASSIGN_OR_RETURN(const Node node, LoadNode(page_no));
-    stats.nodes_scanned += 1;
-    stats.entries_tested += node.entries.size();
+    stats->nodes_scanned += 1;
+    stats->entries_tested += node.entries.size();
     hits.clear();
     OverlapScan(node.entries.data(), node.entries.size(), window, kind,
                 &hits);
     for (const uint32_t i : hits) {
       if (node.level == 0) {
-        stats.leaf_hits += 1;
+        stats->leaf_hits += 1;
         out->push_back(node.entries[i].handle);
       } else {
         sc.stack.push_back(static_cast<uint32_t>(node.entries[i].handle));
       }
     }
   }
-  FlushRibbonScanStats(stats);
   return Status::OK();
 }
 

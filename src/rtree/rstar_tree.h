@@ -102,6 +102,12 @@ class RStarTree {
   Status WindowQuery(const Rect& window, std::vector<uint64_t>* out,
                      SimdMode simd = SimdMode::kAuto) const;
 
+  /// WindowQuery with the kernel already resolved, adding its scan
+  /// counters to `*stats` instead of flushing them: a join that probes
+  /// once per tuple resolves and flushes (FlushRibbonScanStats) once.
+  Status ProbeWindow(const Rect& window, KernelKind kind,
+                     std::vector<uint64_t>* out, RibbonScanStats* stats) const;
+
   /// Reads node `page_no` into `level` (0 = leaf) and `entries`.
   /// Exposed for the BKS93 synchronized tree join.
   Status ReadNode(uint32_t page_no, uint16_t* level,

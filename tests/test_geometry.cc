@@ -12,6 +12,7 @@
 #include "geom/predicates.h"
 #include "geom/segment.h"
 #include "storage/tuple.h"
+#include "tests/test_util.h"
 
 namespace pbsm {
 namespace {
@@ -334,13 +335,17 @@ TEST(GeometryFuzzTest, IntersectsModesAgreeAndAreSymmetric) {
       const Geometry a = random_geometry();
       const Geometry b = random_geometry();
       const bool naive = Intersects(a, b, SegmentTestMode::kNaive);
+      EXPECT_EQ(naive, BruteIntersects(a, b))
+          << "oracle, seed=" << seed << " iter=" << iter;
       EXPECT_EQ(Intersects(a, b, SegmentTestMode::kPlaneSweep), naive)
           << "seed=" << seed << " iter=" << iter;
       EXPECT_EQ(Intersects(b, a, SegmentTestMode::kNaive), naive)
           << "symmetry, seed=" << seed << " iter=" << iter;
       // Disjoint MBRs must imply a negative answer (the filter step's
       // correctness precondition).
-      if (!a.Mbr().Intersects(b.Mbr())) EXPECT_FALSE(naive);
+      if (!a.Mbr().Intersects(b.Mbr())) {
+        EXPECT_FALSE(naive);
+      }
     }
   }
 }

@@ -9,6 +9,7 @@
 
 #include "common/rng.h"
 #include "geom/geometry.h"
+#include "tests/test_util.h"
 
 namespace pbsm {
 namespace {
@@ -165,6 +166,180 @@ TEST(ContainsTest, NaiveAndSweepModesAgree) {
   for (const Geometry& g : inners) {
     EXPECT_EQ(Contains(outer, g, SegmentTestMode::kNaive),
               Contains(outer, g, SegmentTestMode::kPlaneSweep));
+  }
+}
+
+/// Polygon with a notch cut down from its top edge: x in (4, 6) above
+/// y = 4 is outside.
+Geometry UShape() {
+  return Geometry::MakePolygon(
+      {{{0, 0}, {10, 0}, {10, 10}, {6, 10}, {6, 4}, {4, 4}, {4, 10}, {0, 10}}});
+}
+
+constexpr SegmentTestMode kModes[] = {SegmentTestMode::kNaive,
+                                      SegmentTestMode::kPlaneSweep};
+
+TEST(ContainsTest, InnerLeavingBetweenBoundaryContactsIsRejected) {
+  const Geometry u = UShape();
+  const Geometry cheese = SwissCheese();
+  const Geometry holed = Geometry::MakePolygon(
+      {{{0, 0}, {20, 0}, {20, 20}, {0, 20}},
+       {{9, 9}, {11, 9}, {11, 11}, {9, 11}}});
+  // Every vertex and every edge midpoint of each inner lies in the outer,
+  // yet part of the inner does not.
+  const std::vector<std::pair<const Geometry*, Geometry>> outside = {
+      // (5, 8) is in the notch.
+      {&u, Geometry::MakePolyline({{1, 8}, {3, 8}, {9, 8}})},
+      {&u, Geometry::MakePolygon({{{3, 7}, {9, 7}, {9, 9}, {3, 9}}})},
+      // (10, 10) is in the hole.
+      {&holed, Geometry::MakePolyline({{2, 10}, {8, 10}, {18, 10}})},
+      // Touches the boundary only, and spans the notch's mouth at (5, 10).
+      {&u, Geometry::MakePolyline({{1, 10}, {7, 10}})},
+      // The hole's first vertex lies on the inner's edge, the rest inside.
+      {&cheese, Geometry::MakePolygon({{{4, 2}, {9, 2}, {9, 8}, {4, 8}}})},
+  };
+  for (const auto& [outer, inner] : outside) {
+    EXPECT_FALSE(BruteContains(*outer, inner)) << inner.ToWkt();
+    for (const SegmentTestMode mode : kModes) {
+      EXPECT_FALSE(Contains(*outer, inner, mode)) << inner.ToWkt();
+    }
+  }
+  // Runs along the notch's floor and the outer edge: touches, stays in.
+  const std::vector<Geometry> inside = {
+      Geometry::MakePolyline({{1, 4}, {9, 4}}),
+      Geometry::MakePolyline({{1, 10}, {4, 10}, {4, 5}, {2, 2}}),
+      Geometry::MakePolygon({{{0, 0}, {10, 0}, {10, 4}, {0, 4}}}),
+  };
+  for (const Geometry& inner : inside) {
+    EXPECT_TRUE(BruteContains(u, inner)) << inner.ToWkt();
+    for (const SegmentTestMode mode : kModes) {
+      EXPECT_TRUE(Contains(u, inner, mode)) << inner.ToWkt();
+    }
+  }
+}
+
+/// Checks Intersects in both modes and both argument orders, and Contains
+/// in both modes and both roles, against the brute-force oracles.
+void ExpectMatchesOracle(const Geometry& a, const Geometry& b) {
+  const bool intersects = BruteIntersects(a, b);
+  ASSERT_EQ(BruteIntersects(b, a), intersects) << a.ToWkt() << " | "
+                                               << b.ToWkt();
+  const bool a_contains_b = BruteContains(a, b);
+  const bool b_contains_a = BruteContains(b, a);
+  for (const SegmentTestMode mode : kModes) {
+    EXPECT_EQ(Intersects(a, b, mode), intersects)
+        << a.ToWkt() << " | " << b.ToWkt();
+    EXPECT_EQ(Intersects(b, a, mode), intersects)
+        << b.ToWkt() << " | " << a.ToWkt();
+    EXPECT_EQ(Contains(a, b, mode), a_contains_b)
+        << a.ToWkt() << " contains " << b.ToWkt();
+    EXPECT_EQ(Contains(b, a, mode), b_contains_a)
+        << b.ToWkt() << " contains " << a.ToWkt();
+  }
+}
+
+TEST(PredicateOracleTest, DegenerateHandCasesMatchOracle) {
+  const std::vector<Geometry> geoms = {
+      UnitSquare(),
+      SwissCheese(),
+      UShape(),
+      // MBR shares only the edge x = 10 with the unit square's: touching
+      // along it, at one point of it, and not at all.
+      Geometry::MakePolygon({{{10, 0}, {20, 0}, {20, 10}, {10, 10}}}),
+      Geometry::MakePolygon({{{10, 5}, {20, 0}, {20, 10}}}),
+      Geometry::MakePolygon({{{10, 12}, {20, 0}, {20, 12}}}),
+      // MBR shares only the corner (10, 10), touching there or not.
+      Geometry::MakePolygon({{{10, 10}, {20, 10}, {20, 20}, {10, 20}}}),
+      Geometry::MakePolygon({{{10, 10}, {20, 15}, {15, 20}}}),
+      Geometry::MakePolygon({{{0, 0}, {10, 0}, {0, 10}}}),
+      // Collinear overlaps lying on the border of the MBR intersection.
+      Geometry::MakePolyline({{-5, 0}, {5, 0}}),
+      Geometry::MakePolyline({{10, 0}, {10, 20}}),
+      Geometry::MakePolyline({{4, 10}, {6, 10}}),
+      Geometry::MakePolyline({{-5, 10}, {25, 10}}),
+      // Shared vertices.
+      Geometry::MakePolygon({{{6, 4}, {8, 2}, {9, 5}}}),
+      Geometry::MakePolyline({{4, 4}, {4, -3}, {12, -3}}),
+      Geometry::MakePoint({6, 4}),
+      Geometry::MakePoint({5, 7}),
+      Geometry::MakePoint({10, 10}),
+      // In, touching and around the Swiss cheese's hole.
+      Geometry::MakePolygon({{{4.5, 4.5}, {5.5, 4.5}, {5.5, 5.5}, {4.5, 5.5}}}),
+      Geometry::MakePolygon({{{4, 4}, {5, 4}, {5, 5}, {4, 5}}}),
+      Geometry::MakePolygon({{{3, 3}, {7, 3}, {7, 7}, {3, 7}}}),
+      Geometry::MakePolygon({{{4, 2}, {9, 2}, {9, 8}, {4, 8}}}),
+      Geometry::MakePolyline({{4.5, 5}, {5.5, 5}}),
+      // Polylines wholly inside a polygon.
+      Geometry::MakePolyline({{2, 2}, {3, 3}, {2, 4}}),
+      Geometry::MakePolyline({{1, 1}, {9, 1}, {9, 3}}),
+  };
+  for (const Geometry& a : geoms) {
+    for (const Geometry& b : geoms) ExpectMatchesOracle(a, b);
+  }
+}
+
+/// Random shapes on a small integer grid, where shared vertices, collinear
+/// overlaps and zero-width MBR intersections are common.
+Geometry RandomGridGeometry(Rng* rng) {
+  auto coord = [rng] { return static_cast<double>(rng->Uniform(13)); };
+  switch (rng->Uniform(5)) {
+    case 0:
+      return Geometry::MakePoint({coord(), coord()});
+    case 1: {
+      std::vector<Point> pts{{coord(), coord()}};
+      const size_t n = 1 + rng->Uniform(4);
+      for (size_t i = 0; i < n; ++i) pts.push_back({coord(), coord()});
+      return Geometry::MakePolyline(std::move(pts));
+    }
+    case 2: {
+      // A U: box [x0, x0 + w] x [y0, y0 + h] with a notch of width 1 down
+      // to y0 + d from the top.
+      const double x0 = coord() / 2, y0 = coord() / 2;
+      const double w = 3 + static_cast<double>(rng->Uniform(4));
+      const double h = 2 + static_cast<double>(rng->Uniform(5));
+      const double nx = x0 + 1 + static_cast<double>(rng->Uniform(
+                                     static_cast<uint64_t>(w) - 2));
+      const double d = 1 + static_cast<double>(rng->Uniform(
+                               static_cast<uint64_t>(h) - 1));
+      return Geometry::MakePolygon({{{x0, y0},
+                                     {x0 + w, y0},
+                                     {x0 + w, y0 + h},
+                                     {nx + 1, y0 + h},
+                                     {nx + 1, y0 + d},
+                                     {nx, y0 + d},
+                                     {nx, y0 + h},
+                                     {x0, y0 + h}}});
+    }
+    default: {
+      // A box, with a box hole inside (touching the outer ring or not)
+      // half the time.
+      const double x0 = coord(), y0 = coord();
+      const double w = 1 + static_cast<double>(rng->Uniform(6));
+      const double h = 1 + static_cast<double>(rng->Uniform(6));
+      std::vector<std::vector<Point>> rings = {
+          {{x0, y0}, {x0 + w, y0}, {x0 + w, y0 + h}, {x0, y0 + h}}};
+      if (w >= 2 && h >= 2 && rng->Uniform(2) == 0) {
+        const double hx = x0 + static_cast<double>(rng->Uniform(
+                                   static_cast<uint64_t>(w) - 1));
+        const double hy = y0 + static_cast<double>(rng->Uniform(
+                                   static_cast<uint64_t>(h) - 1));
+        rings.push_back({{hx, hy}, {hx + 1, hy}, {hx + 1, hy + 1}, {hx, hy + 1}});
+      }
+      return Geometry::MakePolygon(std::move(rings));
+    }
+  }
+}
+
+TEST(PredicateOracleTest, GridFuzzMatchesOracle) {
+  for (const uint64_t seed : {41u, 42u, 43u}) {
+    Rng rng(seed);
+    std::vector<Geometry> geoms;
+    for (int i = 0; i < 40; ++i) geoms.push_back(RandomGridGeometry(&rng));
+    for (size_t i = 0; i < geoms.size(); ++i) {
+      for (size_t j = i; j < geoms.size(); ++j) {
+        ExpectMatchesOracle(geoms[i], geoms[j]);
+      }
+    }
   }
 }
 

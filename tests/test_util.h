@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
@@ -13,6 +14,9 @@
 #include <vector>
 
 #include "core/key_pointer.h"
+#include "geom/geometry.h"
+#include "geom/predicates.h"
+#include "geom/segment.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
 
@@ -56,6 +60,99 @@ inline MbrPairSet AllPairsMbrJoin(const std::vector<KeyPointer>& r,
     }
   }
   return out;
+}
+
+/// Every boundary segment of `g`, ring-major.
+inline std::vector<Segment> AllSegments(const GeometryView& g) {
+  std::vector<Segment> out;
+  AnySegment(g, [&out](const Point& a, const Point& b) {
+    out.push_back(Segment{a, b});
+    return false;
+  });
+  return out;
+}
+
+/// The exact-intersection oracle: every segment pair of the two *full*
+/// boundaries, with no MBR test and no sweep, then the vertex-in-polygon
+/// fallback for disjoint boundaries. Shares only the point and segment
+/// primitives with the predicates it checks.
+inline bool BruteIntersects(const GeometryView& a, const GeometryView& b) {
+  const bool a_point = a.type() == GeometryType::kPoint;
+  const bool b_point = b.type() == GeometryType::kPoint;
+  if (a_point && b_point) return a.points()[0] == b.points()[0];
+  if (a_point || b_point) {
+    const Point& p = a_point ? a.points()[0] : b.points()[0];
+    const GeometryView& other = a_point ? b : a;
+    if (other.type() == GeometryType::kPolygon) {
+      return PointInPolygon(p, other);
+    }
+    for (const Segment& s : AllSegments(other)) {
+      if (PointOnSegment(p, s)) return true;
+    }
+    return false;
+  }
+  const std::vector<Segment> b_segs = AllSegments(b);
+  for (const Segment& sa : AllSegments(a)) {
+    for (const Segment& sb : b_segs) {
+      if (SegmentsIntersect(sa, sb)) return true;
+    }
+  }
+  return (b.type() == GeometryType::kPolygon &&
+          PointInPolygon(a.points()[0], b)) ||
+         (a.type() == GeometryType::kPolygon &&
+          PointInPolygon(b.points()[0], a));
+}
+
+/// The exact-containment oracle: every point of `inner` in the closed
+/// polygon `outer`. Tests every vertex of `inner`; tests every edge of
+/// `inner` against every segment of the full boundary of `outer`, failing
+/// on a proper crossing and otherwise splitting the edge at each touch
+/// point and testing every piece's midpoint; and fails when a vertex of a
+/// hole of `outer` lies strictly inside a polygon `inner`.
+inline bool BruteContains(const GeometryView& outer, const GeometryView& inner) {
+  if (outer.type() != GeometryType::kPolygon) return false;
+  for (const Point& v : inner.points()) {
+    if (!PointInPolygon(v, outer)) return false;
+  }
+  const std::vector<Segment> outer_segs = AllSegments(outer);
+  for (const Segment& e : AllSegments(inner)) {
+    std::vector<Point> cuts{e.a, e.b};
+    for (const Segment& o : outer_segs) {
+      const int o1 = Orientation(e.a, e.b, o.a);
+      const int o2 = Orientation(e.a, e.b, o.b);
+      const int o3 = Orientation(o.a, o.b, e.a);
+      const int o4 = Orientation(o.a, o.b, e.b);
+      if (o1 != 0 && o2 != 0 && o1 != o2 && o3 != 0 && o4 != 0 && o3 != o4) {
+        return false;  // Proper crossing.
+      }
+      if (PointOnSegment(o.a, e)) cuts.push_back(o.a);
+      if (PointOnSegment(o.b, e)) cuts.push_back(o.b);
+    }
+    auto along = [&e](const Point& p) {
+      return (p.x - e.a.x) * (e.b.x - e.a.x) + (p.y - e.a.y) * (e.b.y - e.a.y);
+    };
+    std::sort(cuts.begin(), cuts.end(), [&along](const Point& p, const Point& q) {
+      return along(p) < along(q);
+    });
+    for (size_t i = 0; i + 1 < cuts.size(); ++i) {
+      const Point mid{(cuts[i].x + cuts[i + 1].x) / 2,
+                      (cuts[i].y + cuts[i + 1].y) / 2};
+      if (!PointInPolygon(mid, outer)) return false;
+    }
+  }
+  if (inner.type() == GeometryType::kPolygon) {
+    const std::vector<Segment> inner_segs = AllSegments(inner);
+    for (size_t h = 1; h < outer.num_rings(); ++h) {
+      for (const Point& v : outer.ring(h)) {
+        bool on_boundary = false;
+        for (const Segment& s : inner_segs) {
+          on_boundary = on_boundary || PointOnSegment(v, s);
+        }
+        if (!on_boundary && PointInPolygon(v, inner)) return false;
+      }
+    }
+  }
+  return true;
 }
 
 /// Creates a unique scratch directory and a DiskManager + BufferPool over
