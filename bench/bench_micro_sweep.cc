@@ -9,14 +9,6 @@
 // does not dilute kernel speedup), emitting one KERNEL_COMPARE_JSON line.
 // The checked-in baseline lives at bench/results/simd_sweep_baseline.json
 // and the CI perf-smoke job replays this mode on every push.
-//
-// `bench_micro_sweep --compare-refine` compares refine_mode=exact against
-// refine_mode=adaptive (true-hit cell filtering) on the same two workloads:
-// verifies the adaptive engine produces the identical result-pair set,
-// times the refinement phase alone (best-of-N refine_wall_seconds), and
-// emits one REFINE_COMPARE_JSON line. Baseline:
-// bench/results/adaptive_refine_baseline.json; CI's perf-smoke job gates
-// refine_speedup on the fig07 case at PBSM_SCALE=1.0.
 
 #include <benchmark/benchmark.h>
 
@@ -30,7 +22,6 @@
 #include "bench/bench_util.h"
 #include "common/rng.h"
 #include "core/plane_sweep_join.h"
-#include "core/spatial_join.h"
 #include "core/sweep_kernel.h"
 
 namespace pbsm {
@@ -186,151 +177,6 @@ int RunCompareKernels() {
   return all_match ? 0 : 1;
 }
 
-// ---------------------------------------------------------------------------
-// --compare-refine mode.
-// ---------------------------------------------------------------------------
-
-struct JoinCase {
-  const char* label;
-  const std::vector<Tuple>* r;
-  const std::vector<Tuple>* s;
-  const char* r_name;
-  const char* s_name;
-};
-
-struct RefineRun {
-  double refine_ms = 1e300;  ///< Best-of-N refinement-phase wall.
-  double total_ms = 0.0;     ///< Total wall of the best rep.
-  uint64_t candidates = 0;
-  uint64_t results = 0;
-  uint64_t true_hits = 0;
-  uint64_t cell_rejects = 0;
-  uint64_t exact_fallbacks = 0;
-  uint64_t cover_builds = 0;
-  uint32_t threads = 0;
-  std::vector<OidPair> pairs;  ///< Sorted result pairs, for the match check.
-};
-
-/// Runs the parallel executor under `mode` in one workspace, best-of-kReps
-/// after a warm-up rep. The timed quantity is the refinement phase alone
-/// (refine_wall_seconds): the cell filter replaces exact predicate tests
-/// there and nowhere else.
-RefineRun RunRefineMode(const JoinCase& c, size_t budget_bytes,
-                        RefineMode mode) {
-  bench::Workspace ws(std::max<size_t>(budget_bytes, 128u << 20));
-  auto r = LoadRelation(ws.pool(), nullptr, c.r_name, *c.r);
-  PBSM_CHECK(r.ok()) << r.status().ToString();
-  auto s = LoadRelation(ws.pool(), nullptr, c.s_name, *c.s);
-  PBSM_CHECK(s.ok()) << s.status().ToString();
-
-  RefineRun run;
-  constexpr int kReps = 5;
-  for (int rep = 0; rep <= kReps; ++rep) {
-    std::vector<OidPair> pairs;
-    ParallelJoinStats stats;
-    JoinSpec spec;
-    spec.method = JoinMethod::kParallelPbsm;
-    spec.options.memory_budget_bytes = budget_bytes;
-    spec.options.num_tiles = 1024;  // The paper's default (§4.3).
-    spec.options.refine.mode = mode;
-    // PBSM_REFINE_GRID_ORDER overrides the auto grid resolution, for
-    // sweeping the reject-rate / raster-cost trade-off without a rebuild.
-    if (const char* go = std::getenv("PBSM_REFINE_GRID_ORDER")) {
-      spec.options.refine.grid_order =
-          static_cast<uint32_t>(std::atoi(go));
-    }
-    spec.parallel_stats = &stats;
-    spec.sink = [&pairs](Oid ro, Oid so) {
-      pairs.push_back(OidPair{ro.Encode(), so.Encode()});
-    };
-    auto result = SpatialJoin(ws.pool(), r->AsInput(), s->AsInput(), spec);
-    PBSM_CHECK(result.ok()) << result.status().ToString();
-    if (rep == 0) continue;  // Warm-up.
-    const double refine_ms = stats.refine_wall_seconds * 1e3;
-    if (refine_ms < run.refine_ms) {
-      run.refine_ms = refine_ms;
-      run.total_ms = stats.total_wall_seconds * 1e3;
-    }
-    run.candidates = result->breakdown.candidates;
-    run.results = result->breakdown.results;
-    run.true_hits = result->metrics.counter("refinement.true_hits");
-    run.cell_rejects = result->metrics.counter("refinement.cell_rejects");
-    run.exact_fallbacks =
-        result->metrics.counter("refinement.exact_fallbacks");
-    run.cover_builds = result->metrics.counter("refinement.cover_builds");
-    run.threads = stats.num_threads;
-    run.pairs = std::move(pairs);
-  }
-  std::sort(run.pairs.begin(), run.pairs.end());
-  return run;
-}
-
-int RunCompareRefine() {
-  const double scale = bench::ScaleFromEnv();
-  const bench::TigerData tiger = bench::GenTiger(scale);
-  const JoinCase cases[] = {
-      {"fig07-road-hydro", &tiger.roads, &tiger.hydro, "road", "hydrography"},
-      {"fig08-road-rail", &tiger.roads, &tiger.rail, "road", "rail"},
-  };
-  const size_t pool_bytes = bench::PoolSizes(scale).back().second;
-
-  std::printf("Refine-mode comparison (parallel PBSM, exact vs adaptive)\n");
-  std::printf("  scale=%.2f pool_pages=%zu\n", scale, pool_bytes / kPageSize);
-
-  bool all_match = true;
-  std::string cases_json = "[";
-  for (const JoinCase& c : cases) {
-    const RefineRun exact = RunRefineMode(c, pool_bytes, RefineMode::kExact);
-    const RefineRun adaptive =
-        RunRefineMode(c, pool_bytes, RefineMode::kAdaptive);
-    const bool match = exact.pairs == adaptive.pairs;
-    all_match = all_match && match;
-    const double speedup =
-        adaptive.refine_ms > 0 ? exact.refine_ms / adaptive.refine_ms : 0.0;
-    std::printf(
-        "  %-18s r=%-7zu s=%-7zu threads=%u exact=%8.2fms "
-        "adaptive=%8.2fms (hits=%llu rejects=%llu fallbacks=%llu "
-        "builds=%llu) refine_speedup=%5.2fx %s\n",
-        c.label, c.r->size(), c.s->size(), adaptive.threads, exact.refine_ms,
-        adaptive.refine_ms,
-        static_cast<unsigned long long>(adaptive.true_hits),
-        static_cast<unsigned long long>(adaptive.cell_rejects),
-        static_cast<unsigned long long>(adaptive.exact_fallbacks),
-        static_cast<unsigned long long>(adaptive.cover_builds), speedup,
-        match ? "MATCH" : "MISMATCH");
-
-    char row[640];
-    std::snprintf(
-        row, sizeof(row),
-        "%s{\"label\":\"%s\",\"r_n\":%zu,\"s_n\":%zu,\"threads\":%u,"
-        "\"exact_refine_ms\":%.3f,\"adaptive_refine_ms\":%.3f,"
-        "\"refine_speedup\":%.3f,\"exact_total_ms\":%.3f,"
-        "\"adaptive_total_ms\":%.3f,\"candidates\":%llu,\"results\":%llu,"
-        "\"true_hits\":%llu,\"cell_rejects\":%llu,\"exact_fallbacks\":%llu,"
-        "\"match\":%s}",
-        cases_json.size() > 1 ? "," : "", c.label, c.r->size(), c.s->size(),
-        adaptive.threads, exact.refine_ms, adaptive.refine_ms, speedup,
-        exact.total_ms, adaptive.total_ms,
-        static_cast<unsigned long long>(adaptive.candidates),
-        static_cast<unsigned long long>(adaptive.results),
-        static_cast<unsigned long long>(adaptive.true_hits),
-        static_cast<unsigned long long>(adaptive.cell_rejects),
-        static_cast<unsigned long long>(adaptive.exact_fallbacks),
-        match ? "true" : "false");
-    cases_json += row;
-  }
-  cases_json += "]";
-
-  std::printf("  %s\n", all_match ? "(all result-pair sets match)"
-                                  : "(RESULT-PAIR SET MISMATCH)");
-  std::printf(
-      "REFINE_COMPARE_JSON {\"schema\":\"pbsm.refine_compare.v1\","
-      "\"host\":%s,\"scale\":%.2f,\"all_match\":%s,\"cases\":%s}\n",
-      bench::HostInfoJson().c_str(), scale, all_match ? "true" : "false",
-      cases_json.c_str());
-  return all_match ? 0 : 1;
-}
-
 }  // namespace
 }  // namespace pbsm
 
@@ -338,9 +184,6 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--compare-kernels") == 0) {
       return pbsm::RunCompareKernels();
-    }
-    if (std::strcmp(argv[i], "--compare-refine") == 0) {
-      return pbsm::RunCompareRefine();
     }
   }
   ::benchmark::Initialize(&argc, argv);

@@ -8,7 +8,6 @@
 #include "common/canceller.h"
 #include "common/logging.h"
 #include "core/plane_sweep_join.h"
-#include "core/refinement_engine.h"
 #include "core/spatial_partitioner.h"
 #include "geom/predicates.h"
 #include "rtree/node_layout.h"
@@ -33,7 +32,8 @@ struct JoinInput {
   RelationInfo info;
 };
 
-/// Knobs shared by all three join algorithms.
+/// Knobs shared by every join method (JoinMethod); each method reads the
+/// subset its comments name and ignores the rest.
 struct JoinOptions {
   /// Operator memory budget (Equation 1's M and the refinement block size).
   size_t memory_budget_bytes = 4ull << 20;
@@ -63,11 +63,6 @@ struct JoinOptions {
   SegmentTestMode refinement_mode = SegmentTestMode::kPlaneSweep;
   /// BKSS94 MBR/MER pre-filter for containment refinement.
   bool use_mer_filter = false;
-  /// Adaptive true-hit filtering (arXiv 1802.09488): refine.mode picks
-  /// exact or adaptive, refine.grid_order the cell precision (0 = auto
-  /// from catalog stats, or planner-chosen when the join runs through the
-  /// service). INL always refines exactly and ignores this knob.
-  RefineOptions refine;
 
   // --- Index construction (INL / R-tree join) ---
   double index_fill_factor = 0.75;

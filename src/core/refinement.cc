@@ -1,27 +1,16 @@
 #include "core/refinement.h"
 
 #include <algorithm>
-#include <memory>
 #include <optional>
 #include <vector>
 
 #include "common/metrics.h"
-#include "common/trace.h"
-#include "core/refinement_engine.h"
 #include "geom/mer.h"
 #include "storage/tuple.h"
 
 namespace pbsm {
 
 namespace {
-
-/// Cost guard on cover construction in adaptive mode: an S tuple whose run
-/// of candidate pairs (they arrive sorted on OID_S) is shorter than this
-/// pays the exact predicate directly instead of rasterizing. Building a
-/// cover is O(boundary length), so it only beats per-pair exact tests when
-/// enough pairs amortize it (the build-vs-probe tradeoff of adaptive
-/// geospatial joins).
-constexpr size_t kMinCoverPairs = 3;
 
 /// An R tuple held in memory for one refinement block. Its geometry view
 /// points into the block arena and lives exactly as long as the block.
@@ -33,10 +22,6 @@ struct BlockTuple {
   size_t bytes = 0;  // Serialized size, for budget accounting.
   // Lazily computed MER (containment pre-filter). nullopt = not computed.
   std::optional<Rect> mer;
-  // Lazily built cell cover (adaptive modes); lives exactly as long as the
-  // geometry it describes, so one rasterization serves every pair of the
-  // block that references this R tuple.
-  CellCover cover;
 };
 
 /// One candidate inside a block: index of the R tuple + the S OID.
@@ -48,39 +33,19 @@ struct BlockPair {
 /// Per-stream tallies flushed to the metrics registry exactly once, on
 /// every exit path (including cancellation and I/O errors).
 struct RefineStats {
-  uint64_t tp = 0;              ///< Pairs emitted (hits).
-  uint64_t fp = 0;              ///< Pairs dropped (filter false positives).
-  uint64_t true_hits = 0;       ///< Certain hits from interior cell overlap.
-  uint64_t cell_rejects = 0;    ///< Certain misses from disjoint covers.
-  uint64_t exact_fallbacks = 0; ///< Boundary collisions sent to pass 2.
-  uint64_t cover_builds = 0;    ///< S covers rasterized (one per long run).
+  uint64_t tp = 0;  ///< Pairs emitted (hits).
+  uint64_t fp = 0;  ///< Pairs dropped (filter false positives).
 
   void Flush() const {
     // A candidate passing the exact predicate is a filter true positive;
     // one failing it was a false positive of the MBR filter (the CPU the
-    // paper's §4.4 refinement discussion is about). Cell-certain decisions
-    // count toward the same pair, so tp/fp stay comparable across modes.
+    // paper's §4.4 refinement discussion is about).
     static Counter* const true_positives =
         MetricsRegistry::Global().GetCounter("join.refine.true_positives");
     static Counter* const false_positives =
         MetricsRegistry::Global().GetCounter("join.refine.false_positives");
-    static Counter* const true_hit_counter =
-        MetricsRegistry::Global().GetCounter("refinement.true_hits");
-    static Counter* const cell_reject_counter =
-        MetricsRegistry::Global().GetCounter("refinement.cell_rejects");
-    static Counter* const skipped_counter =
-        MetricsRegistry::Global().GetCounter("refinement.skipped_exact");
-    static Counter* const fallback_counter =
-        MetricsRegistry::Global().GetCounter("refinement.exact_fallbacks");
-    static Counter* const build_counter =
-        MetricsRegistry::Global().GetCounter("refinement.cover_builds");
     true_positives->Add(tp);
     false_positives->Add(fp);
-    true_hit_counter->Add(true_hits);
-    cell_reject_counter->Add(cell_rejects);
-    skipped_counter->Add(true_hits + cell_rejects);
-    fallback_counter->Add(exact_fallbacks);
-    build_counter->Add(cover_builds);
   }
 };
 
@@ -218,27 +183,13 @@ bool ExactPairTest(BlockTuple* rt, const GeometryView& s_geometry,
 }
 
 /// The refine loop. The block's pairs, swizzle-sorted on OID_S, form one
-/// run per S tuple, parsed once. Exact mode tests every pair exactly. In
-/// adaptive mode an S cover's whole useful life is its run: each run
-/// rasterizes the live S view into one scratch cover whose vectors keep
-/// their capacity across runs, and boundary collisions fall back to the
-/// exact predicate inline, while the parsed S geometry is in hand.
+/// run per S tuple, parsed once; every pair of the run is tested exactly.
 Status RefineLoop(const SortedPairStream& next, const JoinInput& r,
                   const JoinInput& s, SpatialPredicate pred,
                   const JoinOptions& opts, const ResultSink& sink,
                   JoinCostBreakdown* breakdown, RefineStats* stats) {
-  const Rect universe = Rect::Union(r.info.universe, s.info.universe);
-  const double avg_x =
-      (r.info.avg_mbr_width() + s.info.avg_mbr_width()) / 2.0;
-  const double avg_y =
-      (r.info.avg_mbr_height() + s.info.avg_mbr_height()) / 2.0;
-  const std::unique_ptr<RefinementEngine> engine =
-      RefinementEngine::Create(pred, opts.refine, universe, avg_x, avg_y);
-  const bool adaptive = engine != nullptr;
-
   BlockReader reader(next, *r.heap, opts);
   CachedSFetcher s_fetch(*s.heap);
-  CellCover s_cover;  // Run-scoped scratch; capacities persist across runs.
   std::vector<BlockTuple> r_tuples;
   std::vector<BlockPair> pairs;
   while (true) {
@@ -257,54 +208,21 @@ Status RefineLoop(const SortedPairStream& next, const JoinInput& r,
                 return a.s_oid < b.s_oid;
               });
 
-    // ---- One run of equal-OID_S pairs at a time. Adaptive mode classifies
-    // at cell level; each S tuple's pair multiplicity is known before its
-    // cover exists, so a run too short to amortize the O(boundary length)
-    // rasterization skips the cell filter and pays the exact predicate
-    // directly — the cost-based side of the adaptive engine. ----
-    std::optional<TraceSpan> span;
-    if (adaptive) span.emplace("refine/cell_filter");
-    const size_t min_run = adaptive ? kMinCoverPairs : SIZE_MAX;
-    for (size_t i = 0; i < pairs.size();) {
-      size_t j = i + 1;
-      while (j < pairs.size() && pairs[j].s_oid == pairs[i].s_oid) ++j;
-      PBSM_RETURN_IF_ERROR(s_fetch.Load(pairs[i].s_oid));
-      const bool use_cover = j - i >= min_run;
-      if (use_cover) {
-        engine->BuildCover(s_fetch.geometry(), &s_cover);
-        ++stats->cover_builds;
-      } else if (adaptive) {
-        // Short run: exact tests cost less than the build.
-        stats->exact_fallbacks += j - i;
+    for (const BlockPair& bp : pairs) {
+      // Small blocks make the boundary check above too coarse: a timeout
+      // arriving while results stream to a slow sink must still cancel the
+      // query before the block finishes.
+      if (opts.cancel != nullptr && opts.cancel->is_cancelled()) {
+        return opts.cancel->CancellationStatus();
       }
-      for (; i < j; ++i) {
-        // Small blocks make the boundary check above too coarse: a timeout
-        // arriving while results stream to a slow sink must still cancel
-        // the query before the block finishes.
-        if (opts.cancel != nullptr && opts.cancel->is_cancelled()) {
-          return opts.cancel->CancellationStatus();
-        }
-        const BlockPair& bp = pairs[i];
-        BlockTuple& rt = r_tuples[bp.r_index];
-        CellDecision cd = CellDecision::kNeedExact;
-        if (use_cover) {
-          cd = engine->Classify(rt.geometry, &rt.cover, s_fetch.geometry(),
-                                s_cover);
-          if (cd == CellDecision::kNeedExact) ++stats->exact_fallbacks;
-        }
-        bool hit = cd == CellDecision::kHit;
-        if (cd == CellDecision::kNeedExact) {
-          hit = ExactPairTest(&rt, s_fetch.geometry(), pred, opts);
-        } else {
-          ++(hit ? stats->true_hits : stats->cell_rejects);
-        }
-        if (hit) {
-          ++stats->tp;
-          ++breakdown->results;
-          if (sink) sink(Oid::Decode(rt.oid), Oid::Decode(bp.s_oid));
-        } else {
-          ++stats->fp;
-        }
+      PBSM_RETURN_IF_ERROR(s_fetch.Load(bp.s_oid));
+      BlockTuple& rt = r_tuples[bp.r_index];
+      if (ExactPairTest(&rt, s_fetch.geometry(), pred, opts)) {
+        ++stats->tp;
+        ++breakdown->results;
+        if (sink) sink(Oid::Decode(rt.oid), Oid::Decode(bp.s_oid));
+      } else {
+        ++stats->fp;
       }
     }
   }

@@ -33,15 +33,6 @@ using SortedPairStream = std::function<Result<bool>(OidPair*)>;
 /// scratch — so refinement allocates nothing per tuple once warm. Between
 /// fetches the stream holds at most two pins, its current R page and its
 /// current S page, and releases both when it returns.
-///
-/// With opts.refine.mode != kExact the block loop is driven by the query's
-/// RefinementEngine ("refine/cell_filter" trace sub-span): each run of
-/// equal-OID_S pairs rasterizes its S geometry into a scratch
-/// interior/boundary cell cover (runs of fewer than three pairs skip the
-/// build), certain hits and misses are settled at cell level, and boundary
-/// collisions pay the exact predicate inline while the parsed S geometry
-/// is in hand. The inputs' catalog entries supply the join universe and the
-/// extent statistics the auto grid order derives from.
 Status RefinePairStream(const SortedPairStream& next, const JoinInput& r,
                         const JoinInput& s, SpatialPredicate pred,
                         const JoinOptions& opts, const ResultSink& sink,
@@ -56,8 +47,8 @@ Status RefinePairStream(const SortedPairStream& next, const JoinInput& r,
 ///     (physical order, so the reads are near-sequential);
 ///  3. "swizzles" each pair's OID_R to the in-memory R tuple, re-sorts the
 ///     block's pairs on OID_S, and fetches S tuples sequentially;
-///  4. evaluates the candidate — exactly, or through the adaptive
-///     true-hit-filtering engine (opts.refine) — forwarding hits to `sink`.
+///  4. evaluates the exact predicate on every candidate, forwarding hits to
+///     `sink`.
 ///
 /// With opts.use_mer_filter set and a containment predicate, a precomputed
 /// maximal-enclosed-rectangle test short-circuits the exact check (BKSS94,

@@ -51,7 +51,7 @@ struct WindowFilter {
 ///   JoinSpec spec;
 ///   spec.method = JoinMethod::kZOrder;
 ///   spec.zorder = {.max_level = 10, .max_cells_per_object = 8};
-///   spec.options.refine = {.mode = RefineMode::kAdaptive};
+///   spec.options.num_threads = 4;
 struct JoinSpec {
   JoinMethod method = JoinMethod::kPbsm;
   SpatialPredicate predicate = SpatialPredicate::kIntersects;
@@ -65,10 +65,8 @@ struct JoinSpec {
   /// for the parallel executor, ...). Of note: options.dedup_mode selects
   /// the duplicate-free two-layer filter (default) or the paper's
   /// replicate-then-merge-dedup scheme for serial PBSM (parallel_pbsm
-  /// always runs two-layer), and options.refine holds the
-  /// adaptive-refinement knobs — refinement is shared by every method (INL
-  /// always refines exactly), so its options live with the other shared
-  /// knobs rather than as a per-method group here.
+  /// always runs two-layer), and options.refinement_mode picks the
+  /// segment-test algorithm of the exact refinement every method shares.
   JoinOptions options;
 
   /// Receives each (r, s) result pair. Always oriented as the facade's

@@ -115,14 +115,12 @@ Status FilterJoinOp::CloseImpl() {
 // ---- RefineOp ----
 
 RefineOp::RefineOp(std::unique_ptr<Operator> child, JoinInput r, JoinInput s,
-                   SpatialPredicate pred, const JoinOptions& opts,
-                   bool force_exact)
+                   SpatialPredicate pred, const JoinOptions& opts)
     : Operator("refine", "refine " + r.info.name + " x " + s.info.name),
       r_(r),
       s_(s),
       pred_(pred),
       opts_(opts) {
-  if (force_exact) opts_.refine = RefineOptions{};
   AddChild(std::move(child));
 }
 

@@ -59,17 +59,14 @@ class FilterJoinOp : public Operator {
 };
 
 /// The refinement step (arity 2) over a sorted de-duplicated candidate
-/// stream: fetches tuples block-wise, evaluates the exact predicate (or
-/// the adaptive engine) and streams the result pairs. The child's first
-/// batch is pulled *before* the "refinement" phase timer starts, so a lazy
-/// filter child is costed under its own phases.
+/// stream: fetches tuples block-wise, evaluates the exact predicate and
+/// streams the result pairs. The child's first batch is pulled *before*
+/// the "refinement" phase timer starts, so a lazy filter child is costed
+/// under its own phases.
 class RefineOp : public Operator {
  public:
-  /// With `force_exact` the adaptive knobs are overridden to kExact — the
-  /// INL plan uses it, since INL ignores opts.refine.
   RefineOp(std::unique_ptr<Operator> child, JoinInput r, JoinInput s,
-           SpatialPredicate pred, const JoinOptions& opts,
-           bool force_exact = false);
+           SpatialPredicate pred, const JoinOptions& opts);
 
   uint32_t arity() const override { return 2; }
 

@@ -15,9 +15,8 @@ std::unique_ptr<Operator> BuildJoinTree(const JoinInput& r,
     tree = std::make_unique<ParallelJoinOp>(r, s, spec);
   } else {
     auto filter = std::make_unique<FilterJoinOp>(r, s, spec);
-    tree = std::make_unique<RefineOp>(
-        std::move(filter), r, s, spec.predicate, spec.options,
-        /*force_exact=*/spec.method == JoinMethod::kInl);
+    tree = std::make_unique<RefineOp>(std::move(filter), r, s,
+                                      spec.predicate, spec.options);
   }
   if (spec.window.has_value()) {
     std::vector<MbrSource> sources(2);

@@ -1,6 +1,7 @@
 #include "geom/predicates.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 
 #include "common/logging.h"
@@ -86,22 +87,21 @@ inline size_t Keep(SweepSeg* out, size_t n, const Point& a, const Point& b,
   return n + static_cast<size_t>(meets[0] & meets[1] & 1);
 }
 
-/// Writes the boundary segments of `g` whose MBRs meet `window` to the
-/// front of `*buf` and returns them. A point of one boundary shared with
-/// another geometry lies in both MBRs, so with window = the MBRs'
-/// intersection no dropped segment has a partner to intersect.
-std::span<SweepSeg> FillWindow(const GeometryView& g, const Rect& window,
-                               std::vector<SweepSeg>* buf) {
-  const std::span<const Point> pts = g.points();
+/// Writes the segments of the rings `ring_ends` delimits in `pts` (closed
+/// or open) whose MBRs meet `window` to the front of `*buf` and returns
+/// them.
+std::span<SweepSeg> FillRings(std::span<const Point> pts,
+                              std::span<const uint32_t> ring_ends,
+                              bool closed, const Rect& window,
+                              std::vector<SweepSeg>* buf) {
   // A ring contributes at most as many segments as it has vertices.
   if (buf->size() < pts.size()) buf->resize(pts.size());
   SweepSeg* const out = buf->data();
-  const bool closed = g.type() == GeometryType::kPolygon;
   const Pair wlo = {window.xlo, window.ylo};
   const Pair whi = {window.xhi, window.yhi};
   size_t n = 0;
   size_t begin = 0;
-  for (const uint32_t end : g.ring_ends()) {
+  for (const uint32_t end : ring_ends) {
     for (size_t i = begin; i + 1 < end; ++i) {
       n = Keep(out, n, pts[i], pts[i + 1], wlo, whi);
     }
@@ -109,6 +109,16 @@ std::span<SweepSeg> FillWindow(const GeometryView& g, const Rect& window,
     begin = end;
   }
   return {out, n};
+}
+
+/// Writes the boundary segments of `g` whose MBRs meet `window` to the
+/// front of `*buf` and returns them. A point of one boundary shared with
+/// another geometry lies in both MBRs, so with window = the MBRs'
+/// intersection no dropped segment has a partner to intersect.
+std::span<SweepSeg> FillWindow(const GeometryView& g, const Rect& window,
+                               std::vector<SweepSeg>* buf) {
+  return FillRings(g.points(), g.ring_ends(),
+                   g.type() == GeometryType::kPolygon, window, buf);
 }
 
 /// Forward plane sweep (Brinkhoff et al. style): both sides sorted by
@@ -217,6 +227,109 @@ bool CrossesOrTouches(const SweepSeg& in, const Segment& out,
 /// One representative vertex (the first of the first ring). Parsing and
 /// the Make* factories guarantee every geometry has one.
 const Point& AnyVertex(const GeometryView& g) { return g.points()[0]; }
+
+/// Where a point lies relative to a polygon.
+enum class Location { kInterior, kBoundary, kExterior };
+
+Location Locate(const Point& p, const GeometryView& polygon) {
+  if (!polygon.Mbr().Contains(p)) return Location::kExterior;
+  for (size_t r = 0; r < polygon.num_rings(); ++r) {
+    if (PointOnRingBoundary(p, polygon.ring(r))) return Location::kBoundary;
+  }
+  if (!PointInRingInterior(p, polygon.ring(0))) return Location::kExterior;
+  for (size_t h = 1; h < polygon.num_rings(); ++h) {
+    if (PointInRingInterior(p, polygon.ring(h))) return Location::kExterior;
+  }
+  return Location::kInterior;
+}
+
+/// A point strictly inside simple ring `ring`. Its lowest (then leftmost)
+/// vertex c is convex. If no other vertex lies in the triangle of c and its
+/// two neighbours, the triangle's centroid is inside the ring; otherwise
+/// the segment from c to the vertex in the triangle farthest from the
+/// neighbours' chord is a diagonal, and its midpoint is inside.
+Point RingInteriorPoint(std::span<const Point> ring) {
+  const size_t n = ring.size();
+  size_t c = 0;
+  for (size_t i = 1; i < n; ++i) {
+    if (ring[i].y < ring[c].y ||
+        (ring[i].y == ring[c].y && ring[i].x < ring[c].x)) {
+      c = i;
+    }
+  }
+  const Point& v = ring[c];
+  const Point& a = ring[(c + n - 1) % n];
+  const Point& b = ring[(c + 1) % n];
+  const int turn = Orientation(a, v, b);
+  const Point* deepest = nullptr;
+  double depth = 0.0;
+  for (const Point& q : ring) {
+    if (q == v || Orientation(a, v, q) == -turn ||
+        Orientation(v, b, q) == -turn || Orientation(b, a, q) != turn) {
+      continue;  // The apex, outside the triangle, or on the chord a-b.
+    }
+    const double d = std::abs((b.x - a.x) * (q.y - a.y) -
+                              (b.y - a.y) * (q.x - a.x));
+    if (d > depth) {
+      depth = d;
+      deepest = &q;
+    }
+  }
+  if (deepest == nullptr) {
+    return Point{(a.x + v.x + b.x) / 3, (a.y + v.y + b.y) / 3};
+  }
+  return Point{(v.x + deepest->x) / 2, (v.y + deepest->y) / 2};
+}
+
+/// Whether hole ring `hole` of a containing polygon carves polygon `inner`,
+/// i.e. whether the hole's open interior meets inner's interior. Contains
+/// calls it once inner's boundary crosses the polygon's nowhere and lies in
+/// the polygon wherever the two touch, so it enters no hole: the hole's
+/// interior (connected) lies wholly in inner's interior or wholly outside.
+/// Contacts with inner's boundary split the hole's edges into pieces that
+/// each lie in inner's interior, outside it, or along its boundary, and the
+/// first piece off that boundary decides. A hole that runs along inner's
+/// boundary throughout is decided by a point strictly inside it.
+bool HoleCarves(std::span<const Point> hole, const GeometryView& inner,
+                SegmentTestMode mode) {
+  SweepScratch& s = Scratch();
+  std::vector<Contact>& contacts = s.contacts;
+  contacts.clear();
+  const uint32_t end[] = {static_cast<uint32_t>(hole.size())};
+  const std::span<SweepSeg> edges =
+      FillRings(hole, end, /*closed=*/true, inner.Mbr(), &s.red);
+  // A hole whose boundary misses inner's MBR cannot lie inside inner.
+  if (edges.empty()) return false;
+  if (VisitPairs(edges, FillWindow(inner, inner.Mbr(), &s.blue), mode,
+                 [&contacts](const SweepSeg& edge, const SweepSeg& b) {
+                   return CrossesOrTouches(edge, b.seg, &contacts);
+                 })) {
+    return true;  // Inner's boundary crosses into the hole.
+  }
+  std::sort(contacts.begin(), contacts.end(),
+            [](const Contact& x, const Contact& y) {
+              return x.seg != y.seg ? x.seg < y.seg : x.t < y.t;
+            });
+  size_t c = 0;
+  for (const SweepSeg& e : edges) {
+    Point from = e.seg.a;
+    while (true) {
+      const bool last = c == contacts.size() || contacts[c].seg != &e;
+      const Point to = last ? e.seg.b : contacts[c].p;
+      if (to != from) {
+        const Location where = Locate(
+            Point{(from.x + to.x) / 2, (from.y + to.y) / 2}, inner);
+        if (where != Location::kBoundary) {
+          return where == Location::kInterior;
+        }
+      }
+      if (last) break;
+      from = to;
+      ++c;
+    }
+  }
+  return Locate(RingInteriorPoint(hole), inner) == Location::kInterior;
+}
 
 }  // namespace
 
@@ -360,27 +473,18 @@ bool Contains(const GeometryView& outer, const GeometryView& inner,
         return false;
       }
     }
-  } else if (outside(AnyVertex(inner))) {
-    // Boundaries disjoint: `inner` is wholly inside or wholly outside.
-    return false;
+  } else {
+    // Boundaries disjoint: each ring of `inner` is wholly inside or wholly
+    // outside, so one vertex per ring decides.
+    for (size_t r = 0; r < inner.num_rings(); ++r) {
+      if (outside(inner.ring(r)[0])) return false;
+    }
   }
 
-  // A hole of `outer` with a vertex strictly inside `inner`'s area would
-  // carve it.
+  // A hole of `outer` whose interior meets `inner`'s carves it.
   if (inner.type() == GeometryType::kPolygon) {
-    auto on_inner_boundary = [&inner](const Point& v) {
-      for (size_t r = 0; r < inner.num_rings(); ++r) {
-        if (PointOnRingBoundary(v, inner.ring(r))) return true;
-      }
-      return false;
-    };
     for (size_t h = 1; h < outer.num_rings(); ++h) {
-      for (const Point& v : outer.ring(h)) {
-        if (inner.Mbr().Contains(v) && PointInPolygon(v, inner) &&
-            !on_inner_boundary(v)) {
-          return false;
-        }
-      }
+      if (HoleCarves(outer.ring(h), inner, mode)) return false;
     }
   }
   return true;

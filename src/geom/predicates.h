@@ -48,7 +48,8 @@ void BoundaryIntersectionPoints(const GeometryView& a, const GeometryView& b,
 
 /// Exact "every point of `inner` lies in `outer`" predicate.
 /// `outer` must be a polygon; `inner` may be any type. Boundary contact is
-/// allowed. A hole of `outer` poking strictly into `inner` breaks containment.
+/// allowed. A hole of `outer` whose interior meets `inner`'s breaks
+/// containment, also when every vertex of the hole lies on inner's boundary.
 bool Contains(const GeometryView& outer, const GeometryView& inner,
               SegmentTestMode mode = SegmentTestMode::kPlaneSweep);
 

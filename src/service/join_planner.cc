@@ -72,18 +72,10 @@ PlanChoice PlanJoin(const PlannerSide& r, const PlannerSide& s,
   // Refinement cost is common to every method (they all verify the same
   // candidate set, modulo each method's false-positive rate) and scales
   // with geometry complexity: segment intersection work grows with the
-  // combined vertex count of a pair. Adaptive refinement replaces the
-  // exact predicate with a cheap cell test for most candidates; only the
-  // boundary-collision fraction still pays the full exact cost.
+  // combined vertex count of a pair.
   const double complexity =
       std::max(1.0, (r.info->avg_points() + s.info->avg_points()) / 30.0);
-  const double exact_per_candidate = c.refine_per_candidate * complexity;
-  const double refine =
-      c.refine_mode == RefineMode::kExact
-          ? exact_per_candidate * candidates
-          : (c.cell_test_per_candidate +
-             c.adaptive_exact_fraction * exact_per_candidate) *
-                candidates;
+  const double refine = c.refine_per_candidate * complexity * candidates;
 
   uint32_t threads = num_threads;
   if (threads == 0) {
@@ -92,13 +84,6 @@ PlanChoice PlanJoin(const PlannerSide& r, const PlannerSide& s,
 
   PlanChoice choice;
   choice.estimated_candidates = candidates;
-  // Grid precision for adaptive covers, from the same catalog statistics
-  // the engine's auto choice would use — computed here once so every
-  // executor (and the explain output) agrees on it.
-  choice.grid_order = ChooseGridOrder(
-      Rect::Union(r.info->universe, s.info->universe),
-      (r.info->avg_mbr_width() + s.info->avg_mbr_width()) / 2.0,
-      (r.info->avg_mbr_height() + s.info->avg_mbr_height()) / 2.0);
   auto add = [&choice](JoinMethod m, double sec) {
     choice.alternatives.push_back({m, sec});
   };

@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "core/refinement_engine.h"
 #include "core/selectivity.h"
 #include "core/spatial_join.h"
 #include "rtree/node_layout.h"
@@ -49,11 +48,6 @@ struct PlanChoice {
   JoinMethod method = JoinMethod::kPbsm;
   double estimated_seconds = 0.0;
   double estimated_candidates = 0.0;
-  /// Cell-grid precision for adaptive refinement, derived from the catalog
-  /// extent statistics of both inputs (ChooseGridOrder) — the service
-  /// writes it into JoinOptions::refine.grid_order so every executor
-  /// rasterizes at the planner's precision instead of re-deriving it.
-  uint32_t grid_order = 0;
   std::vector<MethodCost> alternatives;  ///< All six, cheapest first.
   /// Pre-order operator tree the exec layer will build for the chosen
   /// method, with the per-method cost split onto the operators that pay it.
@@ -101,19 +95,6 @@ struct PlannerCosts {
   /// Dedup scheme serial PBSM will run with; mirrors
   /// JoinOptions::dedup_mode (same default).
   DedupMode dedup_mode = DedupMode::kTwoLayer;
-
-  /// Refinement strategy the join will run with; mirrors
-  /// JoinOptions::refine.mode (same default). Under the adaptive modes the
-  /// per-candidate refinement cost splits into a cheap cell test for every
-  /// candidate plus the full exact predicate on only the boundary-collision
-  /// fraction.
-  RefineMode refine_mode = RefineMode::kExact;
-  /// Cell classification + amortized cover build, per candidate pair.
-  double cell_test_per_candidate = 0.7e-6;
-  /// Fraction of candidates the cell filter cannot settle (boundary
-  /// collisions and short-run exact fallbacks), measured on the TIGER-style
-  /// workloads. Those pairs still pay refine_per_candidate.
-  double adaptive_exact_fraction = 0.15;
 };
 
 /// Costs all six join methods for r JOIN s and returns the cheapest.

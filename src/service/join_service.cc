@@ -459,9 +459,6 @@ JoinSpec JoinService::BaseSpec(const JoinRequest& request) const {
   JoinSpec spec;
   spec.predicate = request.predicate;
   spec.options = config_.join_defaults;
-  if (request.refine_mode.has_value()) {
-    spec.options.refine.mode = *request.refine_mode;
-  }
   return spec;
 }
 
@@ -469,7 +466,7 @@ PlanChoice JoinService::PlanOnLane(uint32_t lane, const LaneDataset& r,
                                    const LaneDataset& s,
                                    const JoinSpec& spec) const {
   // The cost model mirrors the knobs the join will actually run with
-  // (dedup scheme, refinement mode) and this lane's index-cache warmth.
+  // (dedup scheme) and this lane's index-cache warmth.
   const IndexCache& cache = *lanes_[lane]->cache;
   const double fill = spec.options.index_fill_factor;
   const PlannerSide pr{&r.input.info, r.histogram,
@@ -478,7 +475,6 @@ PlanChoice JoinService::PlanOnLane(uint32_t lane, const LaneDataset& r,
                        cache.Contains(s.input, fill)};
   PlannerCosts costs;
   costs.dedup_mode = spec.options.dedup_mode;
-  costs.refine_mode = spec.options.refine.mode;
   return PlanJoin(pr, ps, spec.options.num_threads, costs);
 }
 
@@ -752,17 +748,12 @@ Status JoinService::RunOnLane(JoinQuery& query, uint32_t lane_id,
   spec.options.cancel = &query.canceller_;
 
   // 1. Choose the method: explicit override or a plan from this lane's
-  // statistics and cache state. Under adaptive refinement the plan also
-  // fixes the cell-grid precision.
+  // statistics and cache state.
   if (request.method.has_value()) {
     spec.method = *request.method;
   } else {
     const PlanChoice plan = PlanOnLane(lane_id, r, s, spec);
     spec.method = plan.method;
-    if (spec.options.refine.mode != RefineMode::kExact &&
-        spec.options.refine.grid_order == 0) {
-      spec.options.refine.grid_order = plan.grid_order;
-    }
     planned_->Add();
     std::lock_guard<std::mutex> lock(query.mutex_);
     JoinResponse& response = query.response_;

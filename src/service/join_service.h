@@ -50,12 +50,6 @@ struct JoinRequest {
   /// Forced method; nullopt lets the cost-based planner choose.
   std::optional<JoinMethod> method;
 
-  /// Forced refinement strategy; nullopt runs the service's configured
-  /// default (JoinServiceConfig::join_defaults.refine.mode). The planner's
-  /// cost model follows whichever applies, and under the adaptive modes the
-  /// plan also fixes the cell-grid precision.
-  std::optional<RefineMode> refine_mode;
-
   /// When set, only result pairs whose MBRs both overlap the window are
   /// emitted/counted (a window-restricted join).
   std::optional<Rect> window;

@@ -113,5 +113,35 @@ TEST(SpaceFillingCurveTest, RectKeyUsesCenter) {
   EXPECT_EQ(curve.Key(Rect(10, 10, 30, 30)), curve.Key(Point{20, 20}));
 }
 
+TEST(SpaceFillingCurveTest, CurveHierarchyIsPrefixContiguous) {
+  // Both curves are hierarchical: a cell at order k covers exactly the
+  // finest-order keys [key_k * 4^(n-k), (key_k + 1) * 4^(n-k)). Verified
+  // exhaustively per sampled coarse cell for both curves.
+  Rng rng(20260812);
+  for (int iter = 0; iter < 200; ++iter) {
+    const uint32_t n = 4 + static_cast<uint32_t>(rng.Uniform(7));  // 4..10.
+    const uint32_t k = 1 + static_cast<uint32_t>(rng.Uniform(n - 1));
+    const uint32_t shift = n - k;
+    const uint32_t cx = static_cast<uint32_t>(rng.Uniform(1u << k));
+    const uint32_t cy = static_cast<uint32_t>(rng.Uniform(1u << k));
+    for (const bool hilbert : {true, false}) {
+      const uint64_t coarse = hilbert ? HilbertD2XY(k, cx, cy)
+                                      : ZOrderKey(k, cx, cy);
+      const uint64_t lo = coarse << (2 * shift);
+      const uint64_t hi = (coarse + 1) << (2 * shift);
+      for (uint32_t dx = 0; dx < (1u << shift); ++dx) {
+        for (uint32_t dy = 0; dy < (1u << shift); ++dy) {
+          const uint32_t x = (cx << shift) | dx;
+          const uint32_t y = (cy << shift) | dy;
+          const uint64_t key =
+              hilbert ? HilbertD2XY(n, x, y) : ZOrderKey(n, x, y);
+          ASSERT_GE(key, lo) << (hilbert ? "hilbert" : "zorder");
+          ASSERT_LT(key, hi) << (hilbert ? "hilbert" : "zorder");
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace pbsm

@@ -102,33 +102,25 @@ TEST_F(JoinDifferentialTest, AllMethodsMatchBruteForceOracleAcrossSweep) {
         if (pbsm_family) modes.push_back(DedupMode::kMerge);
         for (const DedupMode mode : modes) {
           SCOPED_TRACE(DedupModeName(mode));
-          // The refinement strategy is shared by every method downstream of
-          // its filter, so adaptive true-hit filtering must be
-          // result-invariant on each of them.
-          for (const RefineMode refine :
-               {RefineMode::kExact, RefineMode::kAdaptive}) {
-            SCOPED_TRACE(RefineModeName(refine));
-            StorageEnv env(512 * kPageSize);
-            PBSM_ASSERT_OK_AND_ASSIGN(
-                const StoredRelation r,
-                LoadRelation(env.pool(), nullptr, "road", roads, c.clustered));
-            PBSM_ASSERT_OK_AND_ASSIGN(
-                const StoredRelation s,
-                LoadRelation(env.pool(), nullptr, "hydro", hydro, c.clustered));
+          StorageEnv env(512 * kPageSize);
+          PBSM_ASSERT_OK_AND_ASSIGN(
+              const StoredRelation r,
+              LoadRelation(env.pool(), nullptr, "road", roads, c.clustered));
+          PBSM_ASSERT_OK_AND_ASSIGN(
+              const StoredRelation s,
+              LoadRelation(env.pool(), nullptr, "hydro", hydro, c.clustered));
 
-            JoinSpec spec;
-            spec.method = method;
-            spec.predicate = c.pred;
-            spec.options.memory_budget_bytes = 1 << 20;
-            spec.options.num_tiles = c.num_tiles;
-            spec.options.num_threads = c.num_threads;
-            spec.options.simd = simd;
-            spec.options.dedup_mode = mode;
-            spec.options.refine.mode = refine;
-            PBSM_ASSERT_OK_AND_ASSIGN(const IdPairSet got,
-                                      RunJoinToIdPairs(env.pool(), r, s, spec));
-            EXPECT_EQ(got, expected);
-          }
+          JoinSpec spec;
+          spec.method = method;
+          spec.predicate = c.pred;
+          spec.options.memory_budget_bytes = 1 << 20;
+          spec.options.num_tiles = c.num_tiles;
+          spec.options.num_threads = c.num_threads;
+          spec.options.simd = simd;
+          spec.options.dedup_mode = mode;
+          PBSM_ASSERT_OK_AND_ASSIGN(const IdPairSet got,
+                                    RunJoinToIdPairs(env.pool(), r, s, spec));
+          EXPECT_EQ(got, expected);
         }
       }
     }
@@ -262,7 +254,6 @@ TEST_F(JoinDifferentialTest, ShardedScatterGatherMatchesOracleAcrossShardCounts)
         router_config.join_defaults.num_threads = c.num_threads;
         router_config.join_defaults.dedup_mode = dedup;
         JoinService router(&shards, router_config);
-        int method_index = 0;
         for (const JoinMethod method : AllJoinMethods()) {
           SCOPED_TRACE(JoinMethodName(method));
           JoinRequest request;
@@ -270,11 +261,6 @@ TEST_F(JoinDifferentialTest, ShardedScatterGatherMatchesOracleAcrossShardCounts)
           request.s_dataset = "hydro";
           request.predicate = c.pred;
           request.method = method;
-          // Rotate the refinement strategy so both modes see every shard
-          // count without doubling the sweep.
-          request.refine_mode = (method_index++ + static_cast<int>(ci)) % 2
-                                    ? RefineMode::kAdaptive
-                                    : RefineMode::kExact;
           uint64_t num_results = 0;
           PBSM_ASSERT_OK_AND_ASSIGN(
               const IdPairSet got,

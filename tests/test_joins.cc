@@ -153,8 +153,8 @@ TEST_F(JoinEquivalenceTest, PbsmInvariantUnderKnobs) {
   ASSERT_GT(reference.size(), 0u);
 
   // Mapping scheme, tile count, partition count, tiny memory budgets
-  // (forcing §3.5 overflow handling), and the adaptive refinement engine
-  // must not change the result set. The §3.5 paths exist only in the
+  // (forcing §3.5 overflow handling), and the naive segment test must not
+  // change the result set. The §3.5 paths exist only in the
   // paper's merge-dedup filter (two-layer partitions are processed whole),
   // so the tiny-budget variants pin kMerge and state whether repartitioning
   // must fire.
@@ -198,11 +198,6 @@ TEST_F(JoinEquivalenceTest, PbsmInvariantUnderKnobs) {
     JoinOptions o = base;
     o.refinement_mode = SegmentTestMode::kNaive;
     variants.push_back({"naive refinement", o});
-  }
-  {
-    JoinOptions o = base;
-    o.refine = {.mode = RefineMode::kAdaptive};
-    variants.push_back({"adaptive refinement", o});
   }
 
   for (const Variant& v : variants) {
@@ -305,20 +300,6 @@ TEST(JoinPredicateTest, ContainmentJoinMatchesBruteForce) {
                 MakeSpec(JoinMethod::kPbsm, SpatialPredicate::kContains, o,
                          Collect(&got))));
     EXPECT_EQ(got, expected) << "mer=" << mer;
-    EXPECT_EQ(cost.results, expected.size());
-  }
-
-  // Adaptive refinement must certify containment conservatively: same set.
-  {
-    JoinOptions o = opts;
-    o.refine = {.mode = RefineMode::kAdaptive};
-    PairSet got;
-    PBSM_ASSERT_OK_AND_ASSIGN(
-        const JoinCostBreakdown cost,
-        RunJoin(env.pool(), polys_rel.AsInput(), islands_rel.AsInput(),
-                MakeSpec(JoinMethod::kPbsm, SpatialPredicate::kContains, o,
-                         Collect(&got))));
-    EXPECT_EQ(got, expected);
     EXPECT_EQ(cost.results, expected.size());
   }
 

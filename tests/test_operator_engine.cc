@@ -79,8 +79,7 @@ IdTripleSet ComposedOracle(const Corpus& c, SpatialPredicate base_pred,
 
 // The engine differential: the operator tree must produce the brute-force
 // oracle's pair set for all six methods, crossed with both dedup schemes
-// (PBSM family; parallel_pbsm ignores the knob and must still match) and
-// the result-preserving refinement modes.
+// (PBSM family; parallel_pbsm ignores the knob and must still match).
 TEST(OperatorEngineTest, TreeMatchesOracleAcrossMethodsAndModes) {
   const Corpus c = MakeCorpus(/*seed=*/20260808, 150, 120, 0);
   for (const SpatialPredicate pred :
@@ -104,23 +103,18 @@ TEST(OperatorEngineTest, TreeMatchesOracleAcrossMethodsAndModes) {
       if (pbsm_family) dedup_modes.push_back(DedupMode::kMerge);
       for (const DedupMode dedup : dedup_modes) {
         SCOPED_TRACE(DedupModeName(dedup));
-        for (const RefineMode refine :
-             {RefineMode::kExact, RefineMode::kAdaptive}) {
-          SCOPED_TRACE(RefineModeName(refine));
-          JoinSpec spec;
-          spec.method = method;
-          spec.predicate = pred;
-          spec.options.memory_budget_bytes = 1 << 20;
-          spec.options.num_tiles = 64;
-          spec.options.num_threads = 2;
-          spec.options.dedup_mode = dedup;
-          spec.options.refine.mode = refine;
+        JoinSpec spec;
+        spec.method = method;
+        spec.predicate = pred;
+        spec.options.memory_budget_bytes = 1 << 20;
+        spec.options.num_tiles = 64;
+        spec.options.num_threads = 2;
+        spec.options.dedup_mode = dedup;
 
-          PBSM_ASSERT_OK_AND_ASSIGN(
-              const IdPairSet tree_pairs,
-              RunJoinToIdPairs(env.pool(), r, s, spec));
-          EXPECT_EQ(tree_pairs, oracle);
-        }
+        PBSM_ASSERT_OK_AND_ASSIGN(
+            const IdPairSet tree_pairs,
+            RunJoinToIdPairs(env.pool(), r, s, spec));
+        EXPECT_EQ(tree_pairs, oracle);
       }
     }
   }

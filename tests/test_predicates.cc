@@ -2,13 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/rng.h"
 #include "geom/geometry.h"
+#include "storage/tuple.h"
 #include "tests/test_util.h"
 
 namespace pbsm {
@@ -185,6 +189,14 @@ TEST(ContainsTest, InnerLeavingBetweenBoundaryContactsIsRejected) {
   const Geometry holed = Geometry::MakePolygon(
       {{{0, 0}, {20, 0}, {20, 20}, {0, 20}},
        {{9, 9}, {11, 9}, {11, 11}, {9, 11}}});
+  // Triangular holes whose every vertex lies on the boundary of the inner
+  // square below: the second mirrors the first in x = 10.
+  const std::vector<Point> tri = {{5, 5}, {10, 5}, {5, 10}};
+  const std::vector<Point> tri_mirrored = {{15, 5}, {10, 5}, {15, 10}};
+  const std::vector<Point> frame = {{0, 0}, {20, 0}, {20, 20}, {0, 20}};
+  const Geometry tri_hole = Geometry::MakePolygon({frame, tri});
+  const Geometry tri_hole_mirrored =
+      Geometry::MakePolygon({frame, tri_mirrored});
   // Every vertex and every edge midpoint of each inner lies in the outer,
   // yet part of the inner does not.
   const std::vector<std::pair<const Geometry*, Geometry>> outside = {
@@ -197,6 +209,13 @@ TEST(ContainsTest, InnerLeavingBetweenBoundaryContactsIsRejected) {
       {&u, Geometry::MakePolyline({{1, 10}, {7, 10}})},
       // The hole's first vertex lies on the inner's edge, the rest inside.
       {&cheese, Geometry::MakePolygon({{{4, 2}, {9, 2}, {9, 8}, {4, 8}}})},
+      // Every hole vertex lies on the inner's boundary, yet (6, 6) and
+      // (14, 6) are in the holes.
+      {&tri_hole, Geometry::MakePolygon({{{5, 5}, {10, 5}, {10, 10}, {5, 10}}})},
+      {&tri_hole_mirrored,
+       Geometry::MakePolygon({{{10, 5}, {15, 5}, {15, 10}, {10, 10}}})},
+      // The inner is the hole itself: every hole edge runs along it.
+      {&tri_hole, Geometry::MakePolygon({tri})},
   };
   for (const auto& [outer, inner] : outside) {
     EXPECT_FALSE(BruteContains(*outer, inner)) << inner.ToWkt();
@@ -204,16 +223,25 @@ TEST(ContainsTest, InnerLeavingBetweenBoundaryContactsIsRejected) {
       EXPECT_FALSE(Contains(*outer, inner, mode)) << inner.ToWkt();
     }
   }
-  // Runs along the notch's floor and the outer edge: touches, stays in.
-  const std::vector<Geometry> inside = {
-      Geometry::MakePolyline({{1, 4}, {9, 4}}),
-      Geometry::MakePolyline({{1, 10}, {4, 10}, {4, 5}, {2, 2}}),
-      Geometry::MakePolygon({{{0, 0}, {10, 0}, {10, 4}, {0, 4}}}),
+  const std::vector<std::pair<const Geometry*, Geometry>> inside = {
+      // Run along the notch's floor and the outer edge: touch, stay in.
+      {&u, Geometry::MakePolyline({{1, 4}, {9, 4}})},
+      {&u, Geometry::MakePolyline({{1, 10}, {4, 10}, {4, 5}, {2, 2}})},
+      {&u, Geometry::MakePolygon({{{0, 0}, {10, 0}, {10, 4}, {0, 4}}})},
+      // Inners whose own hole is the outer's hole: every hole edge runs
+      // along the inner's boundary, and the hole lies outside its area.
+      {&tri_hole, Geometry::MakePolygon(
+                      {{{5, 5}, {10, 5}, {10, 10}, {5, 10}}, tri})},
+      {&tri_hole,
+       Geometry::MakePolygon({{{2, 2}, {18, 2}, {18, 18}, {2, 18}}, tri})},
+      {&tri_hole_mirrored,
+       Geometry::MakePolygon(
+           {{{10, 5}, {15, 5}, {15, 10}, {10, 10}}, tri_mirrored})},
   };
-  for (const Geometry& inner : inside) {
-    EXPECT_TRUE(BruteContains(u, inner)) << inner.ToWkt();
+  for (const auto& [outer, inner] : inside) {
+    EXPECT_TRUE(BruteContains(*outer, inner)) << inner.ToWkt();
     for (const SegmentTestMode mode : kModes) {
-      EXPECT_TRUE(Contains(u, inner, mode)) << inner.ToWkt();
+      EXPECT_TRUE(Contains(*outer, inner, mode)) << inner.ToWkt();
     }
   }
 }
@@ -421,6 +449,134 @@ TEST(PredicateConcurrencyTest, ThreadsAgreeWithSingleThreadAnswers) {
   }
   for (std::thread& th : threads) th.join();
   EXPECT_EQ(mismatches.load(), 0u);
+}
+
+/// Star-shaped polygon fitted inside `region`: radii at sorted angles never
+/// self-intersect, so every sample is valid without a repair pass.
+Geometry RandomStarPolygon(Rng* rng, const Rect& region, bool with_hole) {
+  const double max_r = rng->UniformDouble(0.02, 0.25) *
+                       std::min(region.width(), region.height());
+  const double cx = rng->UniformDouble(region.xlo + max_r, region.xhi - max_r);
+  const double cy = rng->UniformDouble(region.ylo + max_r, region.yhi - max_r);
+  const int n = 3 + static_cast<int>(rng->Uniform(10));
+  std::vector<Point> outer;
+  for (int i = 0; i < n; ++i) {
+    const double angle = (i + rng->NextDouble() * 0.8) * 2.0 * M_PI / n;
+    const double r = max_r * rng->UniformDouble(0.35, 1.0);
+    outer.push_back({cx + r * std::cos(angle), cy + r * std::sin(angle)});
+  }
+  std::vector<std::vector<Point>> rings = {outer};
+  if (with_hole) {
+    std::vector<Point> hole;
+    // Shrink the outer ring toward the center: stays strictly inside.
+    for (const Point& p : outer) {
+      hole.push_back({cx + (p.x - cx) * 0.4, cy + (p.y - cy) * 0.4});
+    }
+    std::reverse(hole.begin(), hole.end());
+    rings.push_back(hole);
+  }
+  return Geometry::MakePolygon(std::move(rings));
+}
+
+Geometry RandomWalkPolyline(Rng* rng, const Rect& region) {
+  const int n = 2 + static_cast<int>(rng->Uniform(12));
+  double x = rng->UniformDouble(region.xlo, region.xhi);
+  double y = rng->UniformDouble(region.ylo, region.yhi);
+  const double step = 0.1 * std::min(region.width(), region.height());
+  std::vector<Point> pts;
+  for (int i = 0; i < n; ++i) {
+    pts.push_back({x, y});
+    // Clamped random walk; re-draw steps that a corner clamp collapsed to
+    // the previous vertex (zero-length segments are uninteresting fuzz).
+    do {
+      x = std::clamp(pts.back().x + rng->UniformDouble(-step, step),
+                     region.xlo, region.xhi);
+      y = std::clamp(pts.back().y + rng->UniformDouble(-step, step),
+                     region.ylo, region.yhi);
+    } while (x == pts.back().x && y == pts.back().y);
+  }
+  return Geometry::MakePolyline(std::move(pts));
+}
+
+Geometry RandomStarOrWalk(Rng* rng, const Rect& region) {
+  switch (rng->Uniform(4)) {
+    case 0:
+      return RandomStarPolygon(rng, region, rng->Bernoulli(0.3));
+    case 1:
+      return Geometry::MakePoint({rng->UniformDouble(region.xlo, region.xhi),
+                                  rng->UniformDouble(region.ylo, region.yhi)});
+    default:
+      return RandomWalkPolyline(rng, region);
+  }
+}
+
+TEST(RefinementFuzzTest, ParsedViewsMatchOwnedGeometryAtEveryAlignment) {
+  // Refinement parses tuples straight out of page bytes, where a record's
+  // vertex array sits at whatever offset its name length leaves. Name
+  // lengths 0-7 put it at every byte offset mod 8; views parsed from those
+  // records must reproduce the owned geometries' predicate answers and
+  // bit-identical MBRs. (A Point* cast of record bytes would also trip the
+  // UBSan build's alignment check here.)
+  const Rect universe(0.0, 0.0, 64.0, 64.0);
+  Rng rng(20260813);
+  uint64_t intersecting = 0, containing = 0;
+  for (int iter = 0; iter < 300; ++iter) {
+    Rect region = universe;
+    if (rng.Bernoulli(0.8)) {
+      const double w = rng.UniformDouble(4.0, 12.0);
+      const double x = rng.UniformDouble(universe.xlo, universe.xhi - w);
+      const double y = rng.UniformDouble(universe.ylo, universe.yhi - w);
+      region = Rect(x, y, x + w, y + w);
+    }
+    const Geometry outer = RandomStarPolygon(&rng, region, rng.Bernoulli(0.3));
+    if (rng.Bernoulli(0.5)) {
+      // Draw the other side from the middle of the polygon's MBR, so that
+      // containments actually occur.
+      const Rect& m = outer.Mbr();
+      const double sw = m.width() / 4.0, sh = m.height() / 4.0;
+      region = Rect(m.xlo + sw, m.ylo + sh, m.xhi - sw, m.yhi - sh);
+    }
+    const Geometry other = RandomStarOrWalk(&rng, region);
+    const bool intersects = Intersects(outer, other);
+    const bool contains = Contains(outer, other);
+    intersecting += intersects ? 1 : 0;
+    containing += contains ? 1 : 0;
+    for (size_t name_len = 0; name_len < 8; ++name_len) {
+      auto record = [&](const Geometry& g, size_t len) {
+        Tuple t;
+        t.name = std::string(len, 'x');
+        t.geometry = g;
+        const std::string bytes = t.Serialize();
+        return std::vector<char>(bytes.begin(), bytes.end());
+      };
+      const std::vector<char> outer_rec = record(outer, name_len);
+      const std::vector<char> other_rec = record(other, 7 - name_len);
+      GeometryBuffer outer_buf, other_buf;
+      TupleView outer_view, other_view;
+      ASSERT_TRUE(ParseTupleView(outer_rec.data(), outer_rec.size(),
+                                 &outer_buf, &outer_view)
+                      .ok());
+      ASSERT_TRUE(ParseTupleView(other_rec.data(), other_rec.size(),
+                                 &other_buf, &other_view)
+                      .ok());
+      const GeometryView& ov = outer_view.geometry;
+      const GeometryView& tv = other_view.geometry;
+      EXPECT_EQ(std::memcmp(&ov.Mbr(), &outer.Mbr(), sizeof(Rect)), 0);
+      EXPECT_EQ(std::memcmp(&tv.Mbr(), &other.Mbr(), sizeof(Rect)), 0);
+      ASSERT_TRUE(std::equal(tv.points().begin(), tv.points().end(),
+                             other.view().points().begin(),
+                             other.view().points().end()));
+      EXPECT_EQ(Intersects(ov, tv), intersects)
+          << "iter " << iter << " name_len " << name_len;
+      EXPECT_EQ(Intersects(tv, ov), intersects);
+      EXPECT_EQ(Contains(ov, tv), contains)
+          << "iter " << iter << " name_len " << name_len;
+    }
+  }
+  // Both answers of both predicates occur, or the equalities prove little.
+  EXPECT_GT(intersecting, 30u);
+  EXPECT_LT(intersecting, 270u);
+  EXPECT_GT(containing, 5u);
 }
 
 }  // namespace

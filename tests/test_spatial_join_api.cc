@@ -65,15 +65,6 @@ TEST_F(SpatialJoinApiTest, MethodNamesRoundTrip) {
   EXPECT_FALSE(ParseJoinMethod("quadtree").has_value());
 }
 
-TEST_F(SpatialJoinApiTest, RefineModeNamesRoundTrip) {
-  for (const RefineMode m : {RefineMode::kExact, RefineMode::kAdaptive}) {
-    const auto parsed = ParseRefineMode(RefineModeName(m));
-    ASSERT_TRUE(parsed.ok()) << RefineModeName(m);
-    EXPECT_EQ(*parsed, m);
-  }
-  EXPECT_FALSE(ParseRefineMode("fuzzy").ok());
-}
-
 TEST_F(SpatialJoinApiTest, AllSixMethodsAgreeOnPairSet) {
   // Ground truth: serial PBSM through the facade.
   PairSet expected;
@@ -139,27 +130,6 @@ TEST_F(SpatialJoinApiTest, ResultCarriesMetricsDelta) {
   EXPECT_EQ(result.metrics.counter("join.runs.pbsm"), 1u);
 }
 
-TEST_F(SpatialJoinApiTest, AdaptiveRefineReportsCellFilterMetrics) {
-  StorageEnv env(512 * kPageSize);
-  JoinSpec spec = BaseSpec(JoinMethod::kPbsm);
-  spec.options.refine = {.mode = RefineMode::kAdaptive};
-  PairSet adaptive_pairs;
-  const JoinResult result = RunFacade(&env, spec, &adaptive_pairs);
-
-  StorageEnv exact_env(512 * kPageSize);
-  PairSet exact_pairs;
-  RunFacade(&exact_env, BaseSpec(JoinMethod::kPbsm), &exact_pairs);
-  EXPECT_EQ(adaptive_pairs, exact_pairs);
-
-  // Every candidate is either settled by the cell filter or fell back.
-  const uint64_t skipped = result.metrics.counter("refinement.skipped_exact");
-  const uint64_t fallbacks =
-      result.metrics.counter("refinement.exact_fallbacks");
-  EXPECT_EQ(skipped, result.metrics.counter("refinement.true_hits") +
-                         result.metrics.counter("refinement.cell_rejects"));
-  EXPECT_GT(skipped + fallbacks, 0u);
-}
-
 TEST_F(SpatialJoinApiTest, TraceSpansCoverJoinPhases) {
   Tracer& tracer = Tracer::Global();
   tracer.Clear();
@@ -174,25 +144,11 @@ TEST_F(SpatialJoinApiTest, TraceSpansCoverJoinPhases) {
   EXPECT_TRUE(found_refinement);
 }
 
-TEST_F(SpatialJoinApiTest, AdaptiveRefineEmitsSubSpans) {
-  Tracer& tracer = Tracer::Global();
-  tracer.Clear();
-  StorageEnv env(512 * kPageSize);
-  JoinSpec spec = BaseSpec(JoinMethod::kPbsm);
-  spec.options.refine = {.mode = RefineMode::kAdaptive};
-  RunFacade(&env, spec, nullptr);
-  bool found_cell_filter = false;
-  for (const SpanRecord& span : tracer.FinishedSpans()) {
-    if (span.name == "refine/cell_filter") found_cell_filter = true;
-  }
-  EXPECT_TRUE(found_cell_filter);
-}
-
-TEST_F(SpatialJoinApiTest, CancelledAdaptiveJoinStillFlushesRefineSubSpans) {
+TEST_F(SpatialJoinApiTest, CancelledJoinStillFlushesRefinementSpan) {
   // Regression: a Canceller abort mid-refinement returns from inside the
-  // cell-filter loop while its sub-span is still open; the executor must
-  // flush open spans before surfacing kCancelled, or the trace loses the
-  // whole refine subtree exactly on the runs one wants to debug.
+  // refine loop while its span is still open; the executor must flush open
+  // spans before surfacing kCancelled, or the trace loses the refinement
+  // phase exactly on the runs one wants to debug.
   Tracer& tracer = Tracer::Global();
   tracer.Clear();
   StorageEnv env(512 * kPageSize);
@@ -203,20 +159,19 @@ TEST_F(SpatialJoinApiTest, CancelledAdaptiveJoinStillFlushesRefineSubSpans) {
 
   Canceller canceller;
   JoinSpec spec = BaseSpec(JoinMethod::kPbsm);
-  spec.options.refine = {.mode = RefineMode::kAdaptive};
   spec.options.cancel = &canceller;
   // Cancel from the sink: the first emitted pair proves the join is inside
-  // the refinement loop, so the abort lands mid-cell-filter.
+  // the refinement loop, so the abort lands mid-refinement.
   spec.sink = [&canceller](Oid, Oid) { canceller.Cancel(); };
   const auto result = SpatialJoin(env.pool(), r->AsInput(), s->AsInput(), spec);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
 
-  bool found_cell_filter = false;
+  bool found_refinement = false;
   for (const SpanRecord& span : tracer.FinishedSpans()) {
-    if (span.name == "refine/cell_filter") found_cell_filter = true;
+    if (span.name == "refinement") found_refinement = true;
   }
-  EXPECT_TRUE(found_cell_filter);
+  EXPECT_TRUE(found_refinement);
 }
 
 TEST_F(SpatialJoinApiTest, PreexistingIndexIsUsed) {

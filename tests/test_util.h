@@ -4,11 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -103,54 +106,113 @@ inline bool BruteIntersects(const GeometryView& a, const GeometryView& b) {
           PointInPolygon(b.points()[0], a));
 }
 
+/// The endpoints of `e` and every endpoint of `segs` lying on it, in order
+/// along `e`; nullopt when a segment of `segs` properly crosses `e`.
+inline std::optional<std::vector<Point>> SplitAtContacts(
+    const Segment& e, const std::vector<Segment>& segs) {
+  std::vector<Point> cuts{e.a, e.b};
+  for (const Segment& o : segs) {
+    const int o1 = Orientation(e.a, e.b, o.a);
+    const int o2 = Orientation(e.a, e.b, o.b);
+    const int o3 = Orientation(o.a, o.b, e.a);
+    const int o4 = Orientation(o.a, o.b, e.b);
+    if (o1 != 0 && o2 != 0 && o1 != o2 && o3 != 0 && o4 != 0 && o3 != o4) {
+      return std::nullopt;
+    }
+    if (PointOnSegment(o.a, e)) cuts.push_back(o.a);
+    if (PointOnSegment(o.b, e)) cuts.push_back(o.b);
+  }
+  auto along = [&e](const Point& p) {
+    return (p.x - e.a.x) * (e.b.x - e.a.x) + (p.y - e.a.y) * (e.b.y - e.a.y);
+  };
+  std::sort(cuts.begin(), cuts.end(), [&along](const Point& p, const Point& q) {
+    return along(p) < along(q);
+  });
+  return cuts;
+}
+
+/// A point strictly inside simple ring `ring`: on the horizontal line
+/// halfway between its two lowest distinct vertex heights, the two
+/// leftmost edge crossings bound an interval inside the ring.
+inline Point ScanlineInteriorPoint(std::span<const Point> ring) {
+  double y0 = INFINITY, y1 = INFINITY;
+  for (const Point& p : ring) {
+    if (p.y < y0) {
+      y1 = y0;
+      y0 = p.y;
+    } else if (p.y > y0 && p.y < y1) {
+      y1 = p.y;
+    }
+  }
+  const double y = (y0 + y1) / 2;
+  std::vector<double> xs;
+  for (size_t i = 0; i < ring.size(); ++i) {
+    const Point& a = ring[i];
+    const Point& b = ring[(i + 1) % ring.size()];
+    if ((a.y < y) != (b.y < y)) {
+      xs.push_back(a.x + (y - a.y) * (b.x - a.x) / (b.y - a.y));
+    }
+  }
+  std::sort(xs.begin(), xs.end());
+  return Point{(xs[0] + xs[1]) / 2, y};
+}
+
 /// The exact-containment oracle: every point of `inner` in the closed
 /// polygon `outer`. Tests every vertex of `inner`; tests every edge of
 /// `inner` against every segment of the full boundary of `outer`, failing
 /// on a proper crossing and otherwise splitting the edge at each touch
-/// point and testing every piece's midpoint; and fails when a vertex of a
-/// hole of `outer` lies strictly inside a polygon `inner`.
+/// point and testing every piece's midpoint. A hole of `outer` then lies
+/// wholly inside or wholly outside a polygon `inner`'s area: the hole's
+/// edges, split at inner's vertices, decide at the first piece whose
+/// midpoint is off inner's boundary, and a point strictly inside the hole
+/// decides when every piece runs along that boundary.
 inline bool BruteContains(const GeometryView& outer, const GeometryView& inner) {
   if (outer.type() != GeometryType::kPolygon) return false;
   for (const Point& v : inner.points()) {
     if (!PointInPolygon(v, outer)) return false;
   }
   const std::vector<Segment> outer_segs = AllSegments(outer);
-  for (const Segment& e : AllSegments(inner)) {
-    std::vector<Point> cuts{e.a, e.b};
-    for (const Segment& o : outer_segs) {
-      const int o1 = Orientation(e.a, e.b, o.a);
-      const int o2 = Orientation(e.a, e.b, o.b);
-      const int o3 = Orientation(o.a, o.b, e.a);
-      const int o4 = Orientation(o.a, o.b, e.b);
-      if (o1 != 0 && o2 != 0 && o1 != o2 && o3 != 0 && o4 != 0 && o3 != o4) {
-        return false;  // Proper crossing.
+  const std::vector<Segment> inner_segs = AllSegments(inner);
+  auto mid = [](const Point& p, const Point& q) {
+    return Point{(p.x + q.x) / 2, (p.y + q.y) / 2};
+  };
+  for (const Segment& e : inner_segs) {
+    const std::optional<std::vector<Point>> cuts =
+        SplitAtContacts(e, outer_segs);
+    if (!cuts.has_value()) return false;  // Proper crossing.
+    for (size_t i = 0; i + 1 < cuts->size(); ++i) {
+      if (!PointInPolygon(mid((*cuts)[i], (*cuts)[i + 1]), outer)) {
+        return false;
       }
-      if (PointOnSegment(o.a, e)) cuts.push_back(o.a);
-      if (PointOnSegment(o.b, e)) cuts.push_back(o.b);
-    }
-    auto along = [&e](const Point& p) {
-      return (p.x - e.a.x) * (e.b.x - e.a.x) + (p.y - e.a.y) * (e.b.y - e.a.y);
-    };
-    std::sort(cuts.begin(), cuts.end(), [&along](const Point& p, const Point& q) {
-      return along(p) < along(q);
-    });
-    for (size_t i = 0; i + 1 < cuts.size(); ++i) {
-      const Point mid{(cuts[i].x + cuts[i + 1].x) / 2,
-                      (cuts[i].y + cuts[i + 1].y) / 2};
-      if (!PointInPolygon(mid, outer)) return false;
     }
   }
-  if (inner.type() == GeometryType::kPolygon) {
-    const std::vector<Segment> inner_segs = AllSegments(inner);
-    for (size_t h = 1; h < outer.num_rings(); ++h) {
-      for (const Point& v : outer.ring(h)) {
-        bool on_boundary = false;
-        for (const Segment& s : inner_segs) {
-          on_boundary = on_boundary || PointOnSegment(v, s);
+  if (inner.type() != GeometryType::kPolygon) return true;
+  auto on_inner_boundary = [&inner_segs](const Point& p) {
+    for (const Segment& s : inner_segs) {
+      if (PointOnSegment(p, s)) return true;
+    }
+    return false;
+  };
+  for (size_t h = 1; h < outer.num_rings(); ++h) {
+    const std::span<const Point> hole = outer.ring(h);
+    std::optional<bool> carves;
+    for (size_t i = 0; i < hole.size() && !carves.has_value(); ++i) {
+      const std::vector<Point> cuts =
+          *SplitAtContacts(Segment{hole[i], hole[(i + 1) % hole.size()]},
+                           inner_segs);
+      for (size_t k = 0; k + 1 < cuts.size(); ++k) {
+        const Point m = mid(cuts[k], cuts[k + 1]);
+        if (!on_inner_boundary(m)) {
+          carves = PointInPolygon(m, inner);
+          break;
         }
-        if (!on_boundary && PointInPolygon(v, inner)) return false;
       }
     }
+    if (!carves.has_value()) {
+      const Point q = ScanlineInteriorPoint(hole);
+      carves = !on_inner_boundary(q) && PointInPolygon(q, inner);
+    }
+    if (*carves) return false;
   }
   return true;
 }
